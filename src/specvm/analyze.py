@@ -116,10 +116,18 @@ def build_whitelist(findings: dict[tuple[str, str], Finding],
 
 
 def load_trace(path: str | Path) -> tuple[dict, list[ViolationRecord]]:
-    """Read one trace file written by the fuzzer."""
+    """Read one trace file written by the fuzzer.  Raises ValueError naming
+    the first line that is not a well-formed record."""
     meta, lines = read_lines(path)
-    records = [ViolationRecord.from_wire(json.loads(ln))
-               for ln in lines if ln.strip()]
+    first = 2 if meta else 1  # file line number of lines[0]; headers carry metadata
+    records = []
+    for no, ln in enumerate(lines, first):
+        if not ln.strip():
+            continue
+        try:
+            records.append(ViolationRecord.from_wire(json.loads(ln)))
+        except ValueError as e:  # json.JSONDecodeError is a ValueError
+            raise ValueError(f"line {no}: {e}") from None
     return meta, records
 
 

@@ -236,7 +236,7 @@ def _cmd_analyze(args) -> int:
     for path in args.traces:
         try:
             _, records = load_trace(path)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:
             print(f"warning: cannot read trace {path}: {e}", file=sys.stderr)
             partial = True
             continue

@@ -7,7 +7,8 @@ deduplicate, and replay: the offending instruction, the address, the
 nearest live allocation (the referent), and the stack of mispredicted
 branches that were active when the access fired.
 
-Speculative policy, applied by Machine.step when a ctx is passed:
+Speculative policy, applied by the SpecContext that Machine.step is given
+during speculation:
 
 ===============  ===========================================
 event            action
@@ -26,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .isa import InstructionId
-from .machine import A_REDZONE, F_JTAB, F_RET, Machine
+from .machine import A_REDZONE, F_JTAB, F_RET
 
 KIND_DATA = "data-oob"
 KIND_CODE = "code-ptr"
@@ -79,20 +79,29 @@ class ViolationRecord:
 
     @staticmethod
     def from_wire(d: dict) -> "ViolationRecord":
-        ref = d.get("referent")
-        referent = (ref["ord"], ref["base"], ref["size"]) if ref else None
-        return ViolationRecord(
-            kind=d["kind"],
-            offending=d["offending"],
-            addr=int(d["addr"], 16),
-            referent=referent,
-            offset=d.get("offset"),
-            branches=tuple(d.get("branches", ())),
-            order=d.get("order", len(d.get("branches", ()))),
-            input_id=d.get("input"),
-            run=d.get("run", 0),
-            detail=d.get("detail", ""),
-        )
+        """Rebuild a record from to_wire() output.  Raises ValueError when a
+        required field is missing or malformed."""
+        if not isinstance(d, dict):
+            raise ValueError(f"record is not a JSON object: {d!r}")
+        try:
+            ref = d.get("referent")
+            referent = (ref["ord"], ref["base"], ref["size"]) if ref else None
+            return ViolationRecord(
+                kind=d["kind"],
+                offending=d["offending"],
+                addr=int(d["addr"], 16),
+                referent=referent,
+                offset=d.get("offset"),
+                branches=tuple(d.get("branches", ())),
+                order=d.get("order", len(d.get("branches", ()))),
+                input_id=d.get("input"),
+                run=d.get("run", 0),
+                detail=d.get("detail", ""),
+            )
+        except KeyError as e:
+            raise ValueError(f"record lacks field {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"malformed record field: {e}") from None
 
 
 def dedup_key(v: ViolationRecord, mode: str = "offset") -> tuple:
@@ -103,7 +112,8 @@ def dedup_key(v: ViolationRecord, mode: str = "offset") -> tuple:
 
 @dataclass
 class SpecContext:
-    """Mutable per-run state handed to Machine.step during speculation."""
+    """Mutable per-run state handed to Machine.step during speculation,
+    and the policy step applies to out-of-bounds accesses and faults."""
 
     records: list[ViolationRecord] = field(default_factory=list)
     branches: list[str] = field(default_factory=list)
@@ -115,53 +125,48 @@ class SpecContext:
     def order(self) -> int:
         return len(self.branches)
 
+    def on_speculative_access(self, offending: str, kind: int, addr: int,
+                              referent, offset) -> bool:
+        """Handle an out-of-bounds data access on a speculative path by the
+        instruction ``offending`` ("fn:block:idx").
 
-def on_speculative_access(ctx: SpecContext, m: Machine, pc: int, kind: int,
-                          addr: int, referent, offset) -> bool:
-    """Handle an out-of-bounds data access on a speculative path.
+        Returns True when execution may proceed past the access (redzones),
+        False when the path must be abandoned (unmapped).
+        """
+        self.records.append(ViolationRecord(
+            kind=KIND_DATA,
+            offending=offending,
+            addr=addr,
+            referent=referent,
+            offset=offset,
+            branches=tuple(self.branches),
+            order=len(self.branches),
+            input_id=self.input_id,
+            run=self.run_serial,
+            detail="redzone" if kind == A_REDZONE else "unmapped",
+        ))
+        return kind == A_REDZONE
 
-    Returns True when execution may proceed past the access (redzones),
-    False when the path must be abandoned (unmapped).
-    """
-    iid = str(m.image.iid_of[pc])
-    ctx.records.append(ViolationRecord(
-        kind=KIND_DATA,
-        offending=iid,
-        addr=addr,
-        referent=referent,
-        offset=offset,
-        branches=tuple(ctx.branches),
-        order=len(ctx.branches),
-        input_id=ctx.input_id,
-        run=ctx.run_serial,
-        detail="redzone" if kind == A_REDZONE else "unmapped",
-    ))
-    return kind == A_REDZONE
-
-
-def on_speculative_fault(ctx: SpecContext, m: Machine, pc: int, fkind: str,
-                         value: int) -> None:
-    """Handle a non-access fault on a speculative path.  Corrupted control
-    transfers become code-ptr records; resource faults stay silent."""
-    if fkind not in (F_RET, F_JTAB):
-        return
-    iid = str(m.image.iid_of[pc])
-    ctx.records.append(ViolationRecord(
-        kind=KIND_CODE,
-        offending=iid,
-        addr=value,
-        referent=None,
-        offset=None,
-        branches=tuple(ctx.branches),
-        order=len(ctx.branches),
-        input_id=ctx.input_id,
-        run=ctx.run_serial,
-        detail=fkind,
-    ))
+    def on_speculative_fault(self, offending: str, fkind: str, value: int) -> None:
+        """Handle a non-access fault on a speculative path.  Corrupted control
+        transfers become code-ptr records; resource faults stay silent."""
+        if fkind not in (F_RET, F_JTAB):
+            return
+        self.records.append(ViolationRecord(
+            kind=KIND_CODE,
+            offending=offending,
+            addr=value,
+            referent=None,
+            offset=None,
+            branches=tuple(self.branches),
+            order=len(self.branches),
+            input_id=self.input_id,
+            run=self.run_serial,
+            detail=fkind,
+        ))
 
 
 __all__ = [
     "KIND_DATA", "KIND_CODE", "IDENTITY_MODES",
     "ViolationRecord", "SpecContext", "dedup_key",
-    "on_speculative_access", "on_speculative_fault",
 ]

@@ -27,8 +27,12 @@ import threading
 from dataclasses import dataclass, field
 
 from .detect import SpecContext, ViolationRecord
-from .isa import InstructionId, Op, Program
+from .isa import Program
 from .machine import (
+    O_BR,
+    O_CALL,
+    O_FENCE,
+    O_RET,
     OUT_FAULT,
     OUT_HALT,
     ExecImage,
@@ -37,6 +41,7 @@ from .machine import (
     Machine,
     MemLayout,
     RunResult,
+    _result,
 )
 
 DEFAULT_WINDOW = 250
@@ -246,22 +251,21 @@ class ExposureEngine:
         image = self.image
         code = image.code
         ctx = self.ctx
-        cfg_window = self.cfg.window
         while True:
             pc = m.pc
             op = code[pc][0]
-            if op == Op.FENCE:
+            if op == O_FENCE:
                 return RETIRE_FENCE
             if not self._charge():
                 return RETIRE_WINDOW
-            if op == Op.BR and depth < order:
-                self.push_checkpoint(str(image.iid_of[pc]))
+            if op == O_BR and depth < order:
+                self.push_checkpoint(image.iid_str[pc])
                 target = m.force_branch(pc, invert=True)
                 self._enter_acct(target)
                 reason = self._spec_run(depth + 1, order)
                 self.retired[reason] = self.retired.get(reason, 0) + 1
                 self.rollback()
-            was_call = op == Op.CALL
+            was_call = op == O_CALL
             out = m.step(ctx)
             self.spec_steps += 1
             if out == OUT_HALT:
@@ -272,7 +276,7 @@ class ExposureEngine:
                 if was_call:
                     self.acct_stack.append((self.remaining, self.budget))
                 self._enter_acct(m.entered_block)
-            elif op == Op.RET:
+            elif op == O_RET:
                 if self.acct_stack:
                     self.remaining, self.budget = self.acct_stack.pop()
                 else:
@@ -284,7 +288,7 @@ class ExposureEngine:
         self.remaining = 0
         self.budget = 0
         self.acct_stack = []
-        self.push_checkpoint(str(self.image.iid_of[pc]))
+        self.push_checkpoint(self.image.iid_str[pc])
         target = self.m.force_branch(pc, invert=True)
         self._enter_acct(target)
         reason = self._spec_run(1, order)
@@ -310,8 +314,8 @@ class ExposureEngine:
         while steps < cfg.max_steps:
             pc = m.pc
             op = image.code[pc][0]
-            if op == Op.BR and cfg.simulate:
-                iid = str(image.iid_of[pc])
+            if op == O_BR and cfg.simulate:
+                iid = image.iid_str[pc]
                 order = order_of.get(iid)
                 if order is None:
                     if stats is not None:
@@ -331,15 +335,12 @@ class ExposureEngine:
             if m.entered_block >= 0:
                 edges.add((cur_block, m.entered_block))
                 cur_block = m.entered_block
-            elif op == Op.RET:
+            elif op == O_RET:
                 cur_block = image.block_of[m.pc]
         else:
             fault = Fault(F_STEP, image.iid_of[m.pc] if m.pc < len(image.code) else None)
-        pc_iid = image.iid_of[m.pc] if m.pc < len(image.code) else None
-        result = RunResult(tuple(m.regs), (m.fa, m.fb), pc_iid, m.sp,
-                           m.halted, steps, fault, m)
-        return RunTrace(result, ctx.records, edges, order_of, steps,
-                        self.spec_steps, self.retired)
+        return RunTrace(_result(m, steps, fault), ctx.records, edges, order_of,
+                        steps, self.spec_steps, self.retired)
 
 
 def run_with_exposure(program: Program | ExecImage, input_bytes: bytes = b"",

@@ -18,6 +18,9 @@ Artifact layout under the output directory::
     trace.jsonl                violation records, per-run deduplicated
     branch_stats.json          distinct-input count per branch
     session.json               seed, counters, wall time
+
+A session written into an existing directory rewrites the three
+session files and leaves input files that already hold their bytes.
 """
 
 from __future__ import annotations
@@ -213,6 +216,19 @@ class Fuzzer:
         )
 
 
+def _write_input(path: Path, data: bytes) -> None:
+    """Write one input file unless it already holds exactly these bytes.
+    Input files are named by content id, so a session re-run into the same
+    directory finds most of them in place; reading a file back is cheaper
+    and steadier than truncating and rewriting it."""
+    try:
+        if path.read_bytes() == data:
+            return
+    except OSError:
+        pass
+    path.write_bytes(data)
+
+
 def write_artifacts(result: FuzzResult, out_dir: str | Path,
                     config: FuzzConfig) -> None:
     """Write the session's artifact tree (see module docstring)."""
@@ -220,9 +236,9 @@ def write_artifacts(result: FuzzResult, out_dir: str | Path,
     (out / "corpus").mkdir(parents=True, exist_ok=True)
     (out / "crashes").mkdir(parents=True, exist_ok=True)
     for iid, data, reason in result.corpus:
-        (out / "corpus" / f"{iid}_{reason}.bin").write_bytes(data)
+        _write_input(out / "corpus" / f"{iid}_{reason}.bin", data)
     for iid, data in result.crashes:
-        (out / "crashes" / f"{iid}.bin").write_bytes(data)
+        _write_input(out / "crashes" / f"{iid}.bin", data)
     meta = {"file": "trace", "identity": config.identity,
             "seed": config.seed, "workers": config.workers}
     write_lines(out / "trace.jsonl", meta,

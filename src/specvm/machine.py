@@ -10,11 +10,17 @@ Memory layout (configurable through MemLayout, defaults shown)::
 Every LOAD/STORE is 8 bytes wide and classified before it completes:
 VALID / SCRATCH accesses proceed, anything else is an out-of-bounds
 access.  Architecturally that is a hard fault; under speculation the
-detector module decides (see detect.py).
+SpecContext passed to Machine.step decides (see detect.py).
+
+Heap allocations are made in bump order at strictly increasing bases,
+never freed, and a rollback only truncates the newest ones.  The list of
+bases is therefore always sorted, and access classification finds the
+allocations around an address by bisection instead of a scan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .isa import (
@@ -88,10 +94,6 @@ class AccessClass:
     referent: tuple[int, int, int] | None = None
     offset: int | None = None
 
-    @property
-    def kind_name(self) -> str:
-        return ACCESS_NAMES[self.kind]
-
 
 @dataclass(frozen=True)
 class Fault:
@@ -101,14 +103,22 @@ class Fault:
 
 
 class AllocationTable:
-    """Bump allocator with redzones; nothing is ever freed."""
+    """Bump allocator with redzones; nothing is ever freed.
 
-    __slots__ = ("layout", "bump", "recs")
+    Each allocation starts at least size + redzone bytes after the previous
+    one, and restore() only drops the newest allocations, so ``bases`` is
+    strictly increasing and no allocation's redzone band reaches into a
+    later allocation.  Machine's access classification bisects ``bases``
+    and relies on both properties.
+    """
+
+    __slots__ = ("layout", "bump", "recs", "bases")
 
     def __init__(self, layout: MemLayout):
         self.layout = layout
         self.bump = layout.heap_base
         self.recs: list[tuple[int, int]] = []  # (base, size)
+        self.bases: list[int] = []  # recs[i][0], kept for bisection
 
     def alloc(self, size: int) -> int | None:
         """Return the 16-byte-aligned base of a new allocation, or None when
@@ -121,6 +131,7 @@ class AllocationTable:
             return None
         self.bump = base + advance
         self.recs.append((base, size))
+        self.bases.append(base)
         return base
 
     def snapshot(self) -> tuple[int, int]:
@@ -129,10 +140,40 @@ class AllocationTable:
     def restore(self, snap: tuple[int, int]) -> None:
         self.bump, n = snap
         del self.recs[n:]
+        del self.bases[n:]
 
 
 # ---------------------------------------------------------------------------
 # Pre-decoded program image
+
+# Opcodes as plain ints, the form ExecImage.code stores them in.  The
+# per-instruction loops compare against these: reading a member of the Op
+# IntEnum costs an attribute lookup each time.
+O_CONST = int(Op.CONST)
+O_MOV = int(Op.MOV)
+O_ADD = int(Op.ADD)
+O_SUB = int(Op.SUB)
+O_MUL = int(Op.MUL)
+O_AND = int(Op.AND)
+O_OR = int(Op.OR)
+O_XOR = int(Op.XOR)
+O_SHL = int(Op.SHL)
+O_SHR = int(Op.SHR)
+O_DIV = int(Op.DIV)
+O_CMP = int(Op.CMP)
+O_SETCC = int(Op.SETCC)
+O_BR = int(Op.BR)
+O_JMP = int(Op.JMP)
+O_JTAB = int(Op.JTAB)
+O_LOAD = int(Op.LOAD)
+O_STORE = int(Op.STORE)
+O_ALLOC = int(Op.ALLOC)
+O_CALL = int(Op.CALL)
+O_RET = int(Op.RET)
+O_FENCE = int(Op.FENCE)
+O_INPUT = int(Op.INPUT)
+O_INPUTLEN = int(Op.INPUTLEN)
+O_HALT = int(Op.HALT)
 
 # Internal operand flag values for the 5th decode slot
 IMM = 1
@@ -144,12 +185,15 @@ RET_ENC_BASE = 0x5EC0_0000_0000
 class ExecImage:
     """Flattened, pre-decoded program: the interpreter runs on this.
 
-    code[i] is a 5-tuple (op, a, b, c, f).  Labels are resolved to block
-    indices, blocks to (start, length) in the flat instruction array.
+    code[i] is a 5-tuple (op, a, b, c, f) with op a plain int (O_*).
+    Labels are resolved to block indices, blocks to (start, length) in the
+    flat instruction array.  iid_of[i] is the InstructionId of code[i] and
+    iid_str[i] its text, built once here because branch bookkeeping and
+    violation records need it on every visit.
     """
 
     __slots__ = (
-        "program", "code", "iid_of", "index_of", "blocks", "block_of",
+        "program", "code", "iid_of", "iid_str", "blocks", "block_of",
         "fn_entry", "entry_block", "n_blocks",
     )
 
@@ -157,7 +201,6 @@ class ExecImage:
         self.program = program
         self.code: list[tuple] = []
         self.iid_of: list[InstructionId] = []
-        self.index_of: dict[InstructionId, int] = {}
         self.blocks: list[tuple[int, int, str, str]] = []  # start, length, fn, label
         self.block_of: list[int] = []
         self.fn_entry: dict[str, int] = {}  # fn name -> block index
@@ -176,12 +219,11 @@ class ExecImage:
             for block in blocks:
                 bi = block_index[(fn, block.label)]
                 rebuilt.append((bi, flat))
-                for idx, ins in enumerate(block.instrs):
-                    iid = InstructionId(fn, block.label, idx)
-                    self.iid_of.append(iid)
-                    self.index_of[iid] = flat
+                for idx in range(len(block.instrs)):
+                    self.iid_of.append(InstructionId(fn, block.label, idx))
                     self.block_of.append(bi)
                     flat += 1
+        self.iid_str: list[str] = [str(iid) for iid in self.iid_of]
         for bi, start in rebuilt:
             _, length, fn, label = self.blocks[bi]
             self.blocks[bi] = (start, length, fn, label)
@@ -197,6 +239,7 @@ class ExecImage:
     def _decode(self, fn: str, ins, block_index) -> tuple:
         op = ins.op
         o = ins.ops
+        opc = int(op)
 
         def blk(lab: Lab) -> int:
             return block_index[(fn, lab.name)]
@@ -204,41 +247,41 @@ class ExecImage:
         if op in (Op.ADD, Op.SUB, Op.MUL, Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR, Op.DIV):
             third = o[2]
             if isinstance(third, Imm):
-                return (op, o[0].n, o[1].n, third.v, IMM)
-            return (op, o[0].n, o[1].n, third.n, REGOP)
+                return (opc, o[0].n, o[1].n, third.v, IMM)
+            return (opc, o[0].n, o[1].n, third.n, REGOP)
         if op is Op.CONST:
-            return (op, o[0].n, o[1].v & WORD_MASK, 0, 0)
+            return (opc, o[0].n, o[1].v & WORD_MASK, 0, 0)
         if op is Op.MOV:
-            return (op, o[0].n, o[1].n, 0, 0)
+            return (opc, o[0].n, o[1].n, 0, 0)
         if op is Op.CMP:
             second = o[1]
             if isinstance(second, Imm):
-                return (op, o[0].n, second.v, 0, IMM)
-            return (op, o[0].n, second.n, 0, REGOP)
+                return (opc, o[0].n, second.v, 0, IMM)
+            return (opc, o[0].n, second.n, 0, REGOP)
         if op is Op.SETCC:
-            return (op, o[0].n, CONDITIONS.index(o[1].cc), 0, 0)
+            return (opc, o[0].n, CONDITIONS.index(o[1].cc), 0, 0)
         if op is Op.BR:
-            return (op, CONDITIONS.index(o[0].cc), blk(o[1]), blk(o[2]), 0)
+            return (opc, CONDITIONS.index(o[0].cc), blk(o[1]), blk(o[2]), 0)
         if op is Op.JMP:
-            return (op, blk(o[0]), 0, 0, 0)
+            return (opc, blk(o[0]), 0, 0, 0)
         if op is Op.JTAB:
-            return (op, o[0].n, tuple(blk(lab) for lab in o[1:]), 0, 0)
+            return (opc, o[0].n, tuple(blk(lab) for lab in o[1:]), 0, 0)
         if op is Op.LOAD:
-            return (op, o[0].n, o[1].n, o[2].v, 0)
+            return (opc, o[0].n, o[1].n, o[2].v, 0)
         if op is Op.STORE:
-            return (op, o[0].n, o[1].n, o[2].v, 0)
+            return (opc, o[0].n, o[1].n, o[2].v, 0)
         if op is Op.ALLOC:
             second = o[1]
             if isinstance(second, Imm):
-                return (op, o[0].n, second.v, 0, IMM)
-            return (op, o[0].n, second.n, 0, REGOP)
+                return (opc, o[0].n, second.v, 0, IMM)
+            return (opc, o[0].n, second.n, 0, REGOP)
         if op is Op.CALL:
-            return (op, o[0].name, 0, 0, 0)
+            return (opc, o[0].name, 0, 0, 0)
         if op is Op.INPUT:
-            return (op, o[0].n, o[1].v, 0, 0)
+            return (opc, o[0].n, o[1].v, 0, 0)
         if op is Op.INPUTLEN:
-            return (op, o[0].n, 0, 0, 0)
-        return (op, 0, 0, 0, 0)  # RET, FENCE, HALT
+            return (opc, o[0].n, 0, 0, 0)
+        return (opc, 0, 0, 0, 0)  # RET, FENCE, HALT
 
     def block_start(self, bi: int) -> int:
         return self.blocks[bi][0]
@@ -370,24 +413,39 @@ class Machine:
     def _classify(self, addr: int, width: int):
         lay = self.layout
         end = addr + width
-        # Fully inside one valid region?
         recs = self.alloc.recs
+        # i is the ordinal of the first allocation based above addr, the
+        # successor; i - 1 is the predecessor.  Every allocation lies at or
+        # above the heap base, so a lower address has allocation 0 as its
+        # successor.
         if addr >= lay.heap_base:
-            for base, size in recs:
-                if base <= addr and end <= base + size:
+            i = bisect_right(self.alloc.bases, addr)
+            # Fully inside an allocation?  Only the predecessor can hold it.
+            if i:
+                base, size = recs[i - 1]
+                if end <= base + size:
                     return A_VALID, None, None
-        elif addr >= lay.stack_lo:
-            if end <= lay.stack_hi:
-                return A_VALID, None, None
-        elif addr >= lay.static_base:
-            if end <= lay.static_base + len(self.image.program.data):
-                return A_VALID, None, None
-        elif addr >= lay.scratch_base and end <= lay.scratch_base + lay.scratch_size:
-            return A_SCRATCH, None, None
-        # Nearest live allocation within the referent window.
+        else:
+            if addr >= lay.stack_lo:
+                if end <= lay.stack_hi:
+                    return A_VALID, None, None
+            elif addr >= lay.static_base:
+                if end <= lay.static_base + len(self.image.program.data):
+                    return A_VALID, None, None
+            elif addr >= lay.scratch_base and end <= lay.scratch_base + lay.scratch_size:
+                return A_SCRATCH, None, None
+            i = 0
+        # Nearest live allocation within the referent window.  Allocations
+        # are disjoint and sorted, so no allocation is nearer than both the
+        # predecessor and the successor; an access that overlaps several
+        # overlaps the predecessor or else the successor first.  On equal
+        # distance the lower ordinal wins.
         best = None
         best_d = lay.referent_window + 1
-        for ordn, (base, size) in enumerate(recs):
+        for ordn in (i - 1, i):
+            if ordn < 0 or ordn >= len(recs):
+                continue
+            base, size = recs[ordn]
             if addr >= base + size:
                 d = addr - (base + size - 1)
             elif end <= base:
@@ -404,23 +462,27 @@ class Machine:
         return A_UNMAPPED, None, None
 
     def _read8_redzone_zeroed(self, addr: int) -> int:
-        """Raw read with bytes that fall inside any redzone band forced to 0."""
-        lay = self.layout
-        rz = lay.redzone
-        v = 0
-        for i in range(8):
-            a = addr + i
-            byte = 0
-            in_rz = False
-            for base, size in self.alloc.recs:
-                if base - rz <= a < base + size + rz and not (base <= a < base + size):
-                    in_rz = True
-                    break
-            if not in_rz:
-                p = self.pages.get(a >> 12)
-                byte = p[a & 0xFFF] if p is not None else 0
-            v |= byte << (8 * i)
-        return v
+        """Raw read with bytes that fall inside any redzone band forced to 0.
+
+        A band is the redzone bytes on either side of one allocation.  Bands
+        of allocations below the predecessor of addr end at or before its
+        base, so only allocations from that predecessor up to the last one
+        whose lower band starts within the 8 bytes can touch the read.
+        """
+        rz = self.layout.redzone
+        alloc = self.alloc
+        bases = alloc.bases
+        end = addr + 8
+        lo = max(bisect_right(bases, addr) - 1, 0)
+        hi = bisect_right(bases, end - 1 + rz)
+        keep = (1 << 64) - 1
+        for base, size in alloc.recs[lo:hi]:
+            for band_lo, band_hi in ((base - rz, base), (base + size, base + size + rz)):
+                first = max(band_lo, addr)
+                last = min(band_hi, end)
+                if first < last:
+                    keep &= ~(((1 << (8 * (last - first))) - 1) << (8 * (first - addr)))
+        return self.raw_read8(addr) & keep
 
     # -- branch helpers (shared with the exposure engine and the oracle) ---
 
@@ -446,7 +508,7 @@ class Machine:
 
         ctx None: architectural semantics (OOB and decode failures fault).
         ctx set: speculative semantics; access and fault policy are delegated
-        to the detector, memory writes are logged to ctx.wlog if present.
+        to ctx (a detect.SpecContext), memory writes are logged to ctx.wlog.
         Returns OUT_OK, OUT_HALT, or OUT_FAULT (details in self.fault).
         """
         image = self.image
@@ -455,161 +517,131 @@ class Machine:
         regs = self.regs
         self.entered_block = -1
 
-        if op == Op.BR:
+        if op == O_BR:
             holds = _cc_eval(a, self.fa, self.fb)
             bi = b if holds else c
             self.pc = image.block_start(bi)
             self.entered_block = bi
             return OUT_OK
-        if op == Op.CONST:
+        if op == O_CONST:
             regs[a] = b
             self.pc = pc + 1
             return OUT_OK
-        if op == Op.LOAD:
+        if op == O_LOAD:
             ea = (regs[b] + c) & WORD_MASK
             kind, ref, off = self._classify(ea, 8)
             if kind <= A_SCRATCH:
                 regs[a] = self.raw_read8(ea)
                 self.pc = pc + 1
                 return OUT_OK
-            if ctx is None:
-                self.fault = Fault(F_OOB, image.iid_of[pc], AccessClass(kind, ref, off))
-                return OUT_FAULT
-            from .detect import on_speculative_access
-
-            if on_speculative_access(ctx, self, pc, kind, ea, ref, off):
+            if ctx is not None and ctx.on_speculative_access(
+                    image.iid_str[pc], kind, ea, ref, off):
                 regs[a] = self._read8_redzone_zeroed(ea)
                 self.pc = pc + 1
                 return OUT_OK
             self.fault = Fault(F_OOB, image.iid_of[pc], AccessClass(kind, ref, off))
             return OUT_FAULT
-        if op == Op.STORE:
+        if op == O_STORE:
             ea = (regs[b] + c) & WORD_MASK
             kind, ref, off = self._classify(ea, 8)
             if kind <= A_SCRATCH:
                 self.raw_write8(ea, regs[a], ctx.wlog if ctx is not None else None)
                 self.pc = pc + 1
                 return OUT_OK
-            if ctx is None:
-                self.fault = Fault(F_OOB, image.iid_of[pc], AccessClass(kind, ref, off))
-                return OUT_FAULT
-            from .detect import on_speculative_access
-
-            if on_speculative_access(ctx, self, pc, kind, ea, ref, off):
+            if ctx is not None and ctx.on_speculative_access(
+                    image.iid_str[pc], kind, ea, ref, off):
                 self.raw_write8(ea, regs[a], ctx.wlog)
                 self.pc = pc + 1
                 return OUT_OK
             self.fault = Fault(F_OOB, image.iid_of[pc], AccessClass(kind, ref, off))
             return OUT_FAULT
-        if op == Op.ADD:
+        if op == O_ADD:
             regs[a] = (regs[b] + (c if f else regs[c])) & WORD_MASK
-        elif op == Op.SUB:
+        elif op == O_SUB:
             regs[a] = (regs[b] - (c if f else regs[c])) & WORD_MASK
-        elif op == Op.MUL:
+        elif op == O_MUL:
             regs[a] = (regs[b] * (c if f else regs[c])) & WORD_MASK
-        elif op == Op.AND:
+        elif op == O_AND:
             regs[a] = regs[b] & (c if f else regs[c])
-        elif op == Op.OR:
+        elif op == O_OR:
             regs[a] = regs[b] | (c if f else regs[c])
-        elif op == Op.XOR:
+        elif op == O_XOR:
             regs[a] = regs[b] ^ (c if f else regs[c])
-        elif op == Op.SHL:
+        elif op == O_SHL:
             regs[a] = (regs[b] << ((c if f else regs[c]) & 63)) & WORD_MASK
-        elif op == Op.SHR:
+        elif op == O_SHR:
             regs[a] = regs[b] >> ((c if f else regs[c]) & 63)
-        elif op == Op.DIV:
+        elif op == O_DIV:
             d = c if f else regs[c]
             if d == 0:
-                self.fault = Fault(F_DIV, image.iid_of[pc])
-                if ctx is not None:
-                    from .detect import on_speculative_fault
-
-                    on_speculative_fault(ctx, self, pc, F_DIV, 0)
-                return OUT_FAULT
+                return self._fault(ctx, F_DIV, pc, 0)
             regs[a] = regs[b] // d
-        elif op == Op.CMP:
+        elif op == O_CMP:
             self.fa = regs[a]
             self.fb = b if f else regs[b]
-        elif op == Op.SETCC:
+        elif op == O_SETCC:
             regs[a] = 1 if _cc_eval(b, self.fa, self.fb) else 0
-        elif op == Op.MOV:
+        elif op == O_MOV:
             regs[a] = regs[b]
-        elif op == Op.JMP:
+        elif op == O_JMP:
             self.pc = image.block_start(a)
             self.entered_block = a
             return OUT_OK
-        elif op == Op.JTAB:
+        elif op == O_JTAB:
             idx = regs[a]
             if idx >= len(b):
-                self.fault = Fault(F_JTAB, image.iid_of[pc])
-                if ctx is not None:
-                    from .detect import on_speculative_fault
-
-                    on_speculative_fault(ctx, self, pc, F_JTAB, idx)
-                return OUT_FAULT
+                return self._fault(ctx, F_JTAB, pc, idx)
             bi = b[idx]
             self.pc = image.block_start(bi)
             self.entered_block = bi
             return OUT_OK
-        elif op == Op.ALLOC:
+        elif op == O_ALLOC:
             size = b if f else regs[b]
             base = self.alloc.alloc(size)
             if base is None:
-                self.fault = Fault(F_HEAP, image.iid_of[pc])
-                if ctx is not None:
-                    from .detect import on_speculative_fault
-
-                    on_speculative_fault(ctx, self, pc, F_HEAP, 0)
-                return OUT_FAULT
+                return self._fault(ctx, F_HEAP, pc, 0)
             regs[a] = base
-        elif op == Op.CALL:
+        elif op == O_CALL:
             new_sp = self.sp - 8
             if new_sp < self.layout.stack_lo:
-                self.fault = Fault(F_STACK, image.iid_of[pc])
-                if ctx is not None:
-                    from .detect import on_speculative_fault
-
-                    on_speculative_fault(ctx, self, pc, F_STACK, 0)
-                return OUT_FAULT
+                return self._fault(ctx, F_STACK, pc, 0)
             self.raw_write8(new_sp, image.encode_ret(pc + 1), ctx.wlog if ctx is not None else None)
             self.sp = new_sp
             bi = image.fn_entry[a]
             self.pc = image.block_start(bi)
             self.entered_block = bi
             return OUT_OK
-        elif op == Op.RET:
+        elif op == O_RET:
             if self.sp >= self.layout.stack_hi:
-                self.fault = Fault(F_RET, image.iid_of[pc])
-                if ctx is not None:
-                    from .detect import on_speculative_fault
-
-                    on_speculative_fault(ctx, self, pc, F_RET, 0)
-                return OUT_FAULT
+                return self._fault(ctx, F_RET, pc, 0)
             value = self.raw_read8(self.sp)
             target = image.decode_ret(value)
             if target is None:
-                self.fault = Fault(F_RET, image.iid_of[pc])
-                if ctx is not None:
-                    from .detect import on_speculative_fault
-
-                    on_speculative_fault(ctx, self, pc, F_RET, value)
-                return OUT_FAULT
+                return self._fault(ctx, F_RET, pc, value)
             self.sp += 8
             self.pc = target
             return OUT_OK
-        elif op == Op.INPUT:
+        elif op == O_INPUT:
             regs[a] = self.input[b] if b < len(self.input) else 0
-        elif op == Op.INPUTLEN:
+        elif op == O_INPUTLEN:
             regs[a] = len(self.input)
-        elif op == Op.FENCE:
+        elif op == O_FENCE:
             pass
-        elif op == Op.HALT:
+        elif op == O_HALT:
             self.halted = True
             return OUT_HALT
         else:  # pragma: no cover
             raise AssertionError(f"undecoded op {op}")
         self.pc = pc + 1
         return OUT_OK
+
+    def _fault(self, ctx, kind: str, pc: int, value: int) -> int:
+        """Record a non-access fault at pc; under speculation ctx also sees
+        it, with the offending value for corrupted control transfers."""
+        self.fault = Fault(kind, self.image.iid_of[pc])
+        if ctx is not None:
+            ctx.on_speculative_fault(self.image.iid_str[pc], kind, value)
+        return OUT_FAULT
 
 
 @dataclass

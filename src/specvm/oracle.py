@@ -22,8 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .detect import SpecContext, ViolationRecord
-from .isa import Op, Program
+from .isa import Program
 from .machine import (
+    O_BR,
+    O_CALL,
+    O_FENCE,
+    O_RET,
     OUT_FAULT,
     OUT_HALT,
     ExecImage,
@@ -73,11 +77,12 @@ def _arch_roots(image: ExecImage, input_bytes: bytes, max_steps: int,
     m = Machine(image, input_bytes, layout)
     roots: list[tuple[str, int]] = []
     seen: dict[str, int] = {}
+    code = image.code
     steps = 0
     while steps < max_steps:
         pc = m.pc
-        if image.code[pc][0] == Op.BR:
-            iid = str(image.iid_of[pc])
+        if code[pc][0] == O_BR:
+            iid = image.iid_str[pc]
             occ = seen.get(iid, 0) + 1
             seen[iid] = occ
             roots.append((iid, occ))
@@ -94,6 +99,7 @@ def _run_script(image: ExecImage, input_bytes: bytes, root: str, occurrence: int
     occurrence, then follow the speculative path applying the script."""
     m = Machine(image, input_bytes, layout)
     code = image.code
+    iid_str = image.iid_str
 
     # Architectural prefix up to the root occurrence.
     occ = 0
@@ -102,7 +108,7 @@ def _run_script(image: ExecImage, input_bytes: bytes, root: str, occurrence: int
         if steps >= max_steps:
             raise OracleError(f"root {root}@{occurrence} not reached")
         pc = m.pc
-        if code[pc][0] == Op.BR and str(image.iid_of[pc]) == root:
+        if code[pc][0] == O_BR and iid_str[pc] == root:
             occ += 1
             if occ == occurrence:
                 break
@@ -125,7 +131,7 @@ def _run_script(image: ExecImage, input_bytes: bytes, root: str, occurrence: int
     while True:
         pc = m.pc
         op = code[pc][0]
-        if op == Op.FENCE:
+        if op == O_FENCE:
             retire = RETIRE_FENCE
             break
         if budget == 0:
@@ -140,16 +146,16 @@ def _run_script(image: ExecImage, input_bytes: bytes, root: str, occurrence: int
             counter += chunk
             budget = chunk
         budget -= 1
-        if op == Op.BR:
+        if op == O_BR:
             encounter += 1
             if encounter in forced_set:
-                ctx.branches.append(str(image.iid_of[pc]))
+                ctx.branches.append(iid_str[pc])
                 target = m.force_branch(pc, invert=True)
                 blocks.append(_block_name(image, target))
                 remaining = image.block_len(target)
                 budget = 0
                 continue
-        was_call = op == Op.CALL
+        was_call = op == O_CALL
         out = m.step(ctx)
         if out == OUT_HALT:
             retire = RETIRE_HALT
@@ -163,7 +169,7 @@ def _run_script(image: ExecImage, input_bytes: bytes, root: str, occurrence: int
             blocks.append(_block_name(image, m.entered_block))
             remaining = image.block_len(m.entered_block)
             budget = 0
-        elif op == Op.RET:
+        elif op == O_RET:
             if acct:
                 remaining, budget = acct.pop()
             else:

@@ -2,13 +2,29 @@
 
 Every generated program terminates by construction: branches, jumps, and
 jump tables only target blocks that come later in the same function, and
-calls only reach functions generated after the caller, so there are no
-loops and no recursion.  Architectural faults (division by zero, an out
-of range access that leaves the mapped regions) are possible and fine;
-both executors under test must agree on them.
+calls only reach functions generated after the caller, so there is no
+recursion.  With ``loops=True`` a function may also hold one counted loop,
+the only backward edge:
+
+* its header block sets the loop counter (1 to 4) and branches only into
+  the loop body, the blocks after it up to the latch;
+* no block outside the loop may enter the body except through the header;
+* the latch decrements the counter and branches back to the first body
+  block until it reaches zero, otherwise to a block after the loop.
+
+Each function has its own counter register, which no generated instruction
+other than the header and latch writes, so every loop runs at most four
+times per entry.  Under speculation a latch may be mispredicted back into
+the body with the counter at zero; the window bounds that path.
+
+Architectural faults (division by zero, an out of range access that
+leaves the mapped regions) are possible and fine; both executors under
+test must agree on them.
 
 Registers r0 through r13 are used, leaving r14 and r15 free so the same
-programs can be pushed through the masking hardener.
+programs can be pushed through the masking hardener.  With loops, r11 to
+r13 are the counters of the first, second and third function and
+instructions write only r0 to r10.
 """
 
 from __future__ import annotations
@@ -41,17 +57,20 @@ def _rand_value(rng: random.Random) -> int:
 
 
 class _FnGen:
-    def __init__(self, rng: random.Random, name: str, callees: list[str], is_entry: bool):
+    def __init__(self, rng: random.Random, name: str, callees: list[str], is_entry: bool,
+                 counter: int | None = None):
         self.rng = rng
         self.name = name
         self.callees = callees
         self.is_entry = is_entry
+        self.counter = counter  # loop counter register, None without loops
+        self.n_regs = 14 if counter is None else 11  # registers instructions write
         self.alloc_regs: list[int] = []
 
     def _body_instr(self) -> list[Instruction]:
         rng = self.rng
         roll = rng.random()
-        dst = rng.randrange(14)
+        dst = rng.randrange(self.n_regs)
         if roll < 0.18:
             return [Instruction(Op.CONST, (Reg(dst), Imm(_rand_value(rng))))]
         if roll < 0.30:
@@ -81,7 +100,7 @@ class _FnGen:
     def _compare(self) -> list[Instruction]:
         """A cmp whose left side usually carries an input byte."""
         rng = self.rng
-        reg = rng.randrange(14)
+        reg = rng.randrange(self.n_regs)
         out = []
         if rng.random() < 0.7:
             out.append(Instruction(Op.INPUT, (Reg(reg), Imm(rng.randrange(4)))))
@@ -89,9 +108,30 @@ class _FnGen:
         out.append(Instruction(Op.CMP, (Reg(reg), rhs)))
         return out
 
+    def _counter_init(self) -> list[Instruction]:
+        rng, ctr = self.rng, Reg(self.counter)
+        if rng.random() < 0.5:
+            return [Instruction(Op.CONST, (ctr, Imm(rng.randrange(1, 4))))]
+        return [Instruction(Op.INPUT, (ctr, Imm(rng.randrange(4)))),
+                Instruction(Op.AND, (ctr, ctr, Imm(3))),
+                Instruction(Op.ADD, (ctr, ctr, Imm(1)))]
+
+    def _latch(self, body: str, exits: list[str]) -> list[Instruction]:
+        rng, ctr = self.rng, Reg(self.counter)
+        out = rng.choice(exits)
+        br = (Instruction(Op.BR, (Cond("ne"), Lab(body), Lab(out))) if rng.random() < 0.5
+              else Instruction(Op.BR, (Cond("eq"), Lab(out), Lab(body))))
+        return [Instruction(Op.SUB, (ctr, ctr, Imm(1))),
+                Instruction(Op.CMP, (ctr, Imm(0))), br]
+
     def build(self, n_blocks: int) -> list[BasicBlock]:
         rng = self.rng
         labels = [f"b{i}" for i in range(n_blocks)]
+        # (header, latch) of this function's loop; the body is header+1..latch.
+        loop = None
+        if self.counter is not None and n_blocks >= 3 and rng.random() < 0.8:
+            head = rng.randrange(n_blocks - 2)
+            loop = (head, rng.randrange(head + 1, n_blocks - 1))
         blocks = []
         for i, label in enumerate(labels):
             instrs: list[Instruction] = []
@@ -100,6 +140,17 @@ class _FnGen:
             if self.callees and rng.random() < 0.35:
                 instrs.append(Instruction(Op.CALL, (FnRef(rng.choice(self.callees)),)))
             later = labels[i + 1 :]
+            if loop is not None:
+                head, latch = loop
+                if i < head:
+                    later = labels[i + 1 : head + 1] + labels[latch + 1 :]
+                elif i == head:
+                    later = labels[head + 1 : latch + 1]
+                    instrs.extend(self._counter_init())
+                elif i == latch:
+                    instrs.extend(self._latch(labels[head + 1], later))
+                    blocks.append(BasicBlock(label, instrs))
+                    continue
             if not later:
                 term = Instruction(Op.HALT) if self.is_entry else Instruction(Op.RET)
             else:
@@ -111,7 +162,7 @@ class _FnGen:
                         Op.BR, (Cond(rng.choice(CONDITIONS)), Lab(taken), Lab(fall))
                     )
                 elif roll < 0.70 and len(later) >= 2:
-                    idx = rng.randrange(14)
+                    idx = rng.randrange(self.n_regs)
                     instrs.append(Instruction(Op.INPUT, (Reg(idx), Imm(0))))
                     instrs.append(Instruction(Op.AND, (Reg(idx), Reg(idx), Imm(1))))
                     targets = tuple(Lab(rng.choice(later)) for _ in range(2))
@@ -123,15 +174,18 @@ class _FnGen:
         return blocks
 
 
-def random_program(seed: int) -> Program:
-    """Deterministically generate a small, always-terminating program."""
+def random_program(seed: int, loops: bool = False) -> Program:
+    """Deterministically generate a small, always-terminating program,
+    with counted loops when loops is set.  The loop code draws nothing from
+    the seeded generator when loops is off."""
     rng = random.Random(seed)
     n_fns = rng.randrange(1, 4)
     names = [f"f{i}" for i in range(n_fns)]
     functions = {}
     for i, name in enumerate(names):
-        gen = _FnGen(rng, name, callees=names[i + 1 :], is_entry=(i == 0))
-        functions[name] = gen.build(rng.randrange(2, 5))
+        gen = _FnGen(rng, name, callees=names[i + 1 :], is_entry=(i == 0),
+                     counter=13 - i if loops else None)
+        functions[name] = gen.build(rng.randrange(3, 7) if loops else rng.randrange(2, 5))
     prog = Program(functions=functions, entry=names[0], data=bytes(rng.randrange(256) for _ in range(rng.randrange(0, 9))))
     report = validate(prog)
     assert report.ok, str(report)

@@ -101,40 +101,43 @@ def test_02_hardening_is_sound(report):
 
 def test_03_engine_matches_exhaustive_enumeration(report):
     def body():
-        for seed in range(200):
-            p = random_program(seed)
-            data = random_input(seed)
-            for order in (1, 2, 3):
-                cfg = SpecConfig(max_order=order, window=64, stride=16)
-                trace = run_with_exposure(p, data, cfg)
-                engine_keys = {(r.offending, r.branches, r.kind, r.identity())
-                               for r in trace.records}
-                oracle = enumerate_paths(p, data, max_order=order,
-                                         window=64, stride=16)
-                assert engine_keys == oracle.keys, (seed, order)
+        for loops in (False, True):
+            for seed in range(200):
+                p = random_program(seed, loops)
+                data = random_input(seed)
+                for order in (1, 2, 3):
+                    cfg = SpecConfig(max_order=order, window=64, stride=16)
+                    trace = run_with_exposure(p, data, cfg)
+                    engine_keys = {(r.offending, r.branches, r.kind, r.identity())
+                                   for r in trace.records}
+                    oracle = enumerate_paths(p, data, max_order=order,
+                                             window=64, stride=16)
+                    assert engine_keys == oracle.keys, (seed, loops, order)
         return True
 
     report(3, "checkpointing engine and script-enumeration oracle agree on "
-              "every violation across 200 random programs at depths 1 to 3", body)
+              "every violation across 200 acyclic and 200 looping random "
+              "programs at depths 1 to 3", body)
 
 
 def test_04_simulation_is_architecturally_transparent(report):
     def body():
-        for seed in range(500):
-            p = random_program(seed)
-            data = random_input(seed * 31 + 7)
-            plain = run_architectural(p, data)
-            exposed = run_with_exposure(p, data,
-                                        SpecConfig(max_order=3, window=64,
-                                                   stride=16)).result
-            assert plain.state_fingerprint() == exposed.state_fingerprint(), seed
-            pk = plain.fault.kind if plain.fault else None
-            ek = exposed.fault.kind if exposed.fault else None
-            assert pk == ek, seed
+        for loops in (False, True):
+            for seed in range(500):
+                p = random_program(seed, loops)
+                data = random_input(seed * 31 + 7)
+                plain = run_architectural(p, data)
+                exposed = run_with_exposure(p, data,
+                                            SpecConfig(max_order=3, window=64,
+                                                       stride=16)).result
+                assert plain.state_fingerprint() == exposed.state_fingerprint(), (seed, loops)
+                pk = plain.fault.kind if plain.fault else None
+                ek = exposed.fault.kind if exposed.fault else None
+                assert pk == ek, (seed, loops)
         return True
 
     report(4, "speculation exposure never perturbs the architectural result "
-              "on 500 random program and input pairs", body)
+              "on 500 acyclic and 500 looping random program and input pairs", body)
 
 
 def test_05_speculation_window_boundary(report):

@@ -207,6 +207,18 @@ def test_analyze_partial_input_exits_1(session_dir, capsys):
     assert "cannot read" in captured.err
 
 
+@pytest.mark.parametrize("line, diagnostic", [
+    ('{"kind": "data-oob", "addr": "0x10"}', "line 2: record lacks field 'offending'"),
+    ('{"kind": "data-oob", "offending": "main:e:0", "addr": "zz"}',
+     "line 2: malformed record field"),
+])
+def test_analyze_malformed_trace_line_exits_1(tmp_path, capsys, line, diagnostic):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('#%svm {"file": "trace"}\n' + line + "\n")
+    assert main(["analyze", str(trace)]) == 1
+    assert diagnostic in capsys.readouterr().err
+
+
 # -- harden -------------------------------------------------------------------------
 
 def test_harden_fence_output(g01, tmp_path, capsys):

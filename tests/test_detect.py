@@ -9,10 +9,7 @@ from specvm.detect import (
     SpecContext,
     ViolationRecord,
     dedup_key,
-    on_speculative_access,
-    on_speculative_fault,
 )
-from specvm.isa import parse_program
 from specvm.machine import (
     A_REDZONE,
     A_UNMAPPED,
@@ -20,8 +17,6 @@ from specvm.machine import (
     F_JTAB,
     F_RET,
     F_STACK,
-    ExecImage,
-    Machine,
 )
 
 
@@ -90,45 +85,37 @@ def test_dedup_key_raw_mode_separates_addresses():
 
 # -- policy hooks -------------------------------------------------------------
 
-def _machine():
-    return Machine(ExecImage(parse_program("fn main:\ne:\n  halt\n")), b"")
-
-
 def test_redzone_access_records_and_proceeds():
-    m = _machine()
     ctx = SpecContext(input_id="ii", run_serial=4)
     ctx.branches.append("main:e:9")
-    ok = on_speculative_access(ctx, m, 0, A_REDZONE, 0x100040, (0, 0x100000, 64), 64)
+    ok = ctx.on_speculative_access("main:e:0", A_REDZONE, 0x100040, (0, 0x100000, 64), 64)
     assert ok is True
     r = ctx.records[0]
-    assert r.kind == KIND_DATA and r.detail == "redzone"
+    assert r.kind == KIND_DATA and r.detail == "redzone" and r.offending == "main:e:0"
     assert r.branches == ("main:e:9",) and r.order == 1
     assert r.input_id == "ii" and r.run == 4
 
 
 def test_unmapped_access_records_and_abandons():
-    m = _machine()
     ctx = SpecContext()
-    ok = on_speculative_access(ctx, m, 0, A_UNMAPPED, 0x500000, None, None)
+    ok = ctx.on_speculative_access("main:e:0", A_UNMAPPED, 0x500000, None, None)
     assert ok is False
     assert ctx.records[0].detail == "unmapped"
 
 
 def test_corrupted_control_transfers_record_code_ptr():
-    m = _machine()
     ctx = SpecContext()
-    on_speculative_fault(ctx, m, 0, F_RET, 12345)
-    on_speculative_fault(ctx, m, 0, F_JTAB, 7)
+    ctx.on_speculative_fault("main:e:0", F_RET, 12345)
+    ctx.on_speculative_fault("main:e:0", F_JTAB, 7)
     kinds = [(r.kind, r.detail, r.addr) for r in ctx.records]
     assert kinds == [(KIND_CODE, F_RET, 12345), (KIND_CODE, F_JTAB, 7)]
 
 
 def test_resource_faults_stay_silent():
-    m = _machine()
     ctx = SpecContext()
-    on_speculative_fault(ctx, m, 0, F_DIV, 0)
-    on_speculative_fault(ctx, m, 0, F_STACK, 0)
-    on_speculative_fault(ctx, m, 0, "heap-exhausted", 0)
+    ctx.on_speculative_fault("main:e:0", F_DIV, 0)
+    ctx.on_speculative_fault("main:e:0", F_STACK, 0)
+    ctx.on_speculative_fault("main:e:0", "heap-exhausted", 0)
     assert ctx.records == []
 
 

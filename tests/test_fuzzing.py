@@ -18,6 +18,7 @@ from specvm.fuzzing import (
     fuzz_loop,
     input_id,
     mutate,
+    write_artifacts,
 )
 from specvm.gadgets import builtin_gadget
 from specvm.isa import parse_program
@@ -130,6 +131,24 @@ def test_artifact_tree(tmp_path):
     names = {p.name for p in (out / "corpus").iterdir()}
     for iid, _, reason in res.corpus:
         assert f"{iid}_{reason}.bin" in names
+
+
+def test_rerun_into_same_directory_keeps_inputs_exact(tmp_path):
+    res = fuzz_loop(parse_program(CRASHY), small_cfg(runs=300, max_len=4))
+    assert res.corpus and res.crashes
+    out = tmp_path / "sess"
+    write_artifacts(res, out, small_cfg(runs=300, max_len=4))
+    iid, data, reason = res.corpus[0]
+    stale = out / "corpus" / f"{iid}_{reason}.bin"
+    stale.write_bytes(data + b"!")
+    cid, _ = res.crashes[0]
+    (out / "crashes" / f"{cid}.bin").unlink()
+    write_artifacts(res, out, small_cfg(runs=300, max_len=4))
+    assert stale.read_bytes() == data
+    for iid, data, reason in res.corpus:
+        assert (out / "corpus" / f"{iid}_{reason}.bin").read_bytes() == data
+    for iid, data in res.crashes:
+        assert (out / "crashes" / f"{iid}.bin").read_bytes() == data
 
 
 def test_sessions_with_same_seed_are_identical(tmp_path):

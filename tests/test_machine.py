@@ -1,6 +1,7 @@
 """Architectural interpreter: memory model, access rules, faults, calls."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specvm.isa import parse_program
 from specvm.machine import (
@@ -15,6 +16,7 @@ from specvm.machine import (
     F_STACK,
     F_STEP,
     RET_ENC_BASE,
+    AccessClass,
     ExecImage,
     Machine,
     MemLayout,
@@ -145,6 +147,99 @@ def test_redzone_zeroed_read_masks_only_redzone_bytes():
     straddle = m._read8_redzone_zeroed(base + 60)
     assert straddle == 0x00000000_11111111  # top half zeroed
     assert m.raw_read8(base + 60) == 0x22222222_11111111
+
+
+# Linear references for the bisecting classifier: every allocation is
+# examined, so they need no assumption about allocation order.
+
+def _linear_classify(m, addr, width):
+    lay = m.layout
+    end = addr + width
+    recs = m.alloc.recs
+    if addr >= lay.heap_base:
+        for base, size in recs:
+            if base <= addr and end <= base + size:
+                return A_VALID, None, None
+    elif addr >= lay.stack_lo:
+        if end <= lay.stack_hi:
+            return A_VALID, None, None
+    elif addr >= lay.static_base:
+        if end <= lay.static_base + len(m.image.program.data):
+            return A_VALID, None, None
+    elif addr >= lay.scratch_base and end <= lay.scratch_base + lay.scratch_size:
+        return A_SCRATCH, None, None
+    best = None
+    best_d = lay.referent_window + 1
+    for ordn, (base, size) in enumerate(recs):
+        if addr >= base + size:
+            d = addr - (base + size - 1)
+        elif end <= base:
+            d = base - (end - 1)
+        else:
+            d = 0
+        if d < best_d:
+            best_d = d
+            best = (ordn, base, size)
+    if best is not None and best_d <= lay.redzone:
+        return A_REDZONE, best, addr - best[1]
+    if best is not None:
+        return A_UNMAPPED, best, addr - best[1]
+    return A_UNMAPPED, None, None
+
+
+def _linear_read8_redzone_zeroed(m, addr):
+    rz = m.layout.redzone
+    v = 0
+    for i in range(8):
+        a = addr + i
+        if not any(base - rz <= a < base + size + rz and not base <= a < base + size
+                   for base, size in m.alloc.recs):
+            p = m.pages.get(a >> 12)
+            v |= (p[a & 0xFFF] if p is not None else 0) << (8 * i)
+    return v
+
+
+_sizes = st.lists(st.integers(min_value=0, max_value=80), max_size=10)
+
+
+@given(
+    redzone=st.sampled_from((0, 1, 16, 40)),
+    window=st.sampled_from((0, 7, 24, 4096)),
+    kept=_sizes,
+    dropped=_sizes,
+    after=_sizes,
+    width=st.sampled_from((8, 9, 16, 33, 64)),
+)
+@settings(max_examples=150, deadline=None)
+def test_bisect_classification_matches_linear_scan(redzone, window, kept, dropped,
+                                                   after, width):
+    lay = MemLayout(redzone=redzone, referent_window=window)
+    m = Machine(ExecImage(parse_program("fn main:\ne:\n  halt\n")), b"", lay)
+    for size in kept:
+        m.alloc.alloc(size)
+    snap = m.alloc.snapshot()
+    for size in dropped:
+        m.alloc.alloc(size)
+    m.alloc.restore(snap)  # the table is truncated, then grows again
+    for size in after:
+        m.alloc.alloc(size)
+    # Nonzero bytes everywhere near the heap, so any wrongly zeroed byte shows.
+    lo = lay.heap_base - 128
+    m._blit(lo, bytes((i * 37 + 1) & 0xFF or 1 for i in range(m.alloc.bump + 128 - lo)))
+
+    edges = {lay.heap_base - width - 1, lay.heap_base - 8, lay.heap_base - 1,
+             m.alloc.bump, m.alloc.bump + redzone, m.alloc.bump + window + width}
+    for base, size in m.alloc.recs:
+        for edge in (base, base + size):
+            for delta in (-redzone - width - 1, -redzone - width, -redzone - 1,
+                          -redzone, -width - 1, -width, -8, -1, 0, 1, 7, 8,
+                          redzone - 1, redzone, redzone + 1):
+                edges.add(edge + delta)
+    for addr in sorted(edges):
+        want = _linear_classify(m, addr, width)
+        assert m._classify(addr, width) == want, (addr, width)
+        assert m.check_access(addr, width) == AccessClass(*want)
+        assert m._read8_redzone_zeroed(addr) == _linear_read8_redzone_zeroed(m, addr), addr
 
 
 def test_alloc_snapshot_restore():

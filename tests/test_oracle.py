@@ -2,6 +2,7 @@
 
 import pytest
 
+from genprog import random_input, random_program
 from specvm.engine import SpecConfig, run_with_exposure
 from specvm.isa import parse_program
 from specvm.oracle import OracleError, enumerate_paths
@@ -114,3 +115,15 @@ def test_records_carry_the_forcing_chain():
     out = enumerate_paths(g.program, g.trigger, max_order=2)
     rec = [r for r in out.records if r.offending == g.expected.offending]
     assert rec and all(r.order == 2 and len(r.branches) == 2 for r in rec)
+
+
+def test_looping_programs_repeat_roots_and_blocks():
+    # Acceptance 03 runs the generator's looping programs; they must really
+    # repeat architectural roots and revisit blocks inside one tree.
+    repeated_roots = revisited_blocks = 0
+    for seed in range(50):
+        out = enumerate_paths(random_program(seed, loops=True), random_input(seed),
+                              window=64, stride=16)
+        repeated_roots += any(s.occurrence > 1 for s in out.scripts)
+        revisited_blocks += any(len(set(s.blocks)) < len(s.blocks) for s in out.scripts)
+    assert repeated_roots >= 10 and revisited_blocks >= 10
