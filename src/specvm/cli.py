@@ -33,6 +33,7 @@ from .analyze import (
     write_whitelist,
 )
 from .artifacts import read_json, sasm_with_header, write_lines
+from .detect import IDENTITY_MODES
 from .engine import SpecConfig, full_order_stats, run_with_exposure
 from .fuzzing import FuzzConfig, fuzz_loop
 from .gadgets import GadgetError, builtin_gadget, gadget_ids
@@ -45,6 +46,10 @@ OK = 0
 E_USAGE = 1
 E_CRASH = 2
 E_VIOLATIONS = 3
+
+# Speculation settings not given on the command line or in a config file
+# take SpecConfig's defaults.
+_DEFAULTS = SpecConfig()
 
 _CONFIG_KEYS = {
     "window": int, "stride": int, "max_order": int, "order_base": int,
@@ -108,12 +113,12 @@ def _setting(args, cfg: dict, key: str, default):
 def _spec_config(args, cfg: dict, simulate: bool = True) -> SpecConfig:
     try:
         return SpecConfig(
-            window=_setting(args, cfg, "window", 250),
-            stride=_setting(args, cfg, "stride", 50),
-            max_order=_setting(args, cfg, "max_order", 6),
-            order_base=_setting(args, cfg, "order_base", 4),
+            window=_setting(args, cfg, "window", _DEFAULTS.window),
+            stride=_setting(args, cfg, "stride", _DEFAULTS.stride),
+            max_order=_setting(args, cfg, "max_order", _DEFAULTS.max_order),
+            order_base=_setting(args, cfg, "order_base", _DEFAULTS.order_base),
             simulate=simulate,
-            identity=_setting(args, cfg, "identity", "offset"),
+            identity=_setting(args, cfg, "identity", _DEFAULTS.identity),
         )
     except ValueError as e:
         raise CliError(str(e))
@@ -231,6 +236,7 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = _read_config(args.config)
+    identity = _setting(args, cfg, "identity", _DEFAULTS.identity)
     findings: dict = {}
     partial = False
     for path in args.traces:
@@ -240,7 +246,7 @@ def _cmd_analyze(args) -> int:
             print(f"warning: cannot read trace {path}: {e}", file=sys.stderr)
             partial = True
             continue
-        findings = merge(findings, aggregate(records, args.identity or "offset"))
+        findings = merge(findings, aggregate(records, identity))
     min_triggers = _setting(args, cfg, "min_triggers", DEFAULT_MIN_TRIGGERS)
     lines = render_report(findings, min_triggers)
     if args.out:
@@ -296,13 +302,14 @@ def _cmd_oracle(args) -> int:
     cfg = _read_config(args.config)
     program = _load_program(args.file)
     data = _input_bytes(args)
+    identity = _setting(args, cfg, "identity", _DEFAULTS.identity)
     try:
         outcome = enumerate_paths(
             program, data,
             max_order=_setting(args, cfg, "max_order", 1),
-            window=_setting(args, cfg, "window", 250),
-            stride=_setting(args, cfg, "stride", 50),
-            identity=args.identity or "offset",
+            window=_setting(args, cfg, "window", _DEFAULTS.window),
+            stride=_setting(args, cfg, "stride", _DEFAULTS.stride),
+            identity=identity,
             script_limit=args.limit,
         )
     except OracleError as e:
@@ -318,7 +325,7 @@ def _cmd_oracle(args) -> int:
               f"{len(outcome.keys)} distinct violations")
         for r in outcome.records:
             print(f"  {r.kind} at {r.offending} order={r.order} "
-                  f"identity={r.identity(args.identity or 'offset')} "
+                  f"identity={r.identity(identity)} "
                   f"via {list(r.branches)}")
     if outcome.keys and args.strict:
         return E_VIOLATIONS
@@ -363,7 +370,7 @@ def _add_spec_flags(p: _Parser) -> None:
                    help="maximum nesting order")
     p.add_argument("--order-base", dest="order_base", type=int, default=None,
                    help="base of the nesting order schedule")
-    p.add_argument("--identity", choices=["offset", "raw"], default=None,
+    p.add_argument("--identity", choices=IDENTITY_MODES, default=None,
                    help="violation identity mode")
     p.add_argument("--config", default=None, help="key=value config file")
 
@@ -413,7 +420,7 @@ def build_parser() -> _Parser:
     p.add_argument("--whitelist-min", dest="whitelist_min", type=int, default=None)
     p.add_argument("--whitelist-out", dest="whitelist_out", default=None)
     p.add_argument("--out", default=None, help="report file")
-    p.add_argument("--identity", choices=["offset", "raw"], default=None)
+    p.add_argument("--identity", choices=IDENTITY_MODES, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(fn=_cmd_analyze)

@@ -12,8 +12,17 @@ A speculative path retires when it reaches a FENCE (before executing it),
 executes HALT, faults, or exhausts the speculation window.  The window is
 charged per basic block on entry, in chunks of at most ``stride``
 instructions, and a chunk is admitted only while the counter is strictly
-below the window.  The counter is zeroed when a tree is opened and is part
-of every checkpoint, so sibling paths do not consume each other's budget.
+below the window.  A call suspends the rest of the caller's block
+accounting and the matching return resumes it.
+
+The window state lives in the frame of ``ExposureEngine._spec_run``, one
+frame per speculative path: the counter, the unpaid rest of the current
+block, the prepaid budget and the stack of accounting suspended by calls
+are its locals.  A tree opens with the counter at zero; a nested path
+starts from its parent's counter and a copy of its call stack, so sibling
+paths do not consume each other's budget, and the parent's locals are all
+the accounting a rollback must return to.  Checkpoints therefore hold only
+the machine state and the write-log length.
 
 How deep a tree may nest is rationed out by ``allowed_order``: the n-th
 distinct input to reach a branch may nest up to 1 + max{j : n mod base^j
@@ -26,7 +35,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from .detect import SpecContext, ViolationRecord
+from .detect import SpecContext, ViolationRecord, dedup_key
 from .isa import Program
 from .machine import (
     O_BR,
@@ -153,8 +162,6 @@ class RunTrace:
     retired: dict[str, int] = field(default_factory=dict)
 
     def deduped(self, mode: str = "offset") -> list[ViolationRecord]:
-        from .detect import dedup_key
-
         seen = set()
         out = []
         for r in self.records:
@@ -177,35 +184,9 @@ class ExposureEngine:
         # Per-run state, reset in run()
         self.m: Machine | None = None
         self.ctx: SpecContext | None = None
-        self.counter = 0
-        self.remaining = 0
-        self.budget = 0
-        self.acct_stack: list[tuple[int, int]] = []
         self.checkpoints: list[tuple] = []
         self.spec_steps = 0
         self.retired: dict[str, int] = {}
-
-    # -- window accounting -------------------------------------------------
-
-    def _enter_acct(self, block: int) -> None:
-        self.remaining = self.image.block_len(block)
-        self.budget = 0
-
-    def _charge(self) -> bool:
-        """Pay for one speculative instruction; False means the window is
-        exhausted and the path must retire."""
-        if self.budget == 0:
-            if self.counter >= self.cfg.window:
-                return False
-            if self.remaining > 0:
-                chunk = min(self.cfg.stride, self.remaining)
-                self.remaining -= chunk
-            else:
-                chunk = 1  # resumed mid-block with no prepaid budget
-            self.counter += chunk
-            self.budget = chunk
-        self.budget -= 1
-        return True
 
     # -- checkpointing -------------------------------------------------------
 
@@ -216,15 +197,13 @@ class ExposureEngine:
         self.checkpoints.append((
             m.regs[:], m.fa, m.fb, m.pc, m.sp, m.halted,
             m.alloc.snapshot(), len(self.ctx.wlog),
-            self.counter, self.remaining, self.budget, self.acct_stack[:],
         ))
         self.ctx.branches.append(branch_iid)
 
     def rollback(self) -> None:
         if not self.checkpoints:
             raise EngineError("internal-log-underflow")
-        (regs, fa, fb, pc, sp, halted, asnap, nlog,
-         counter, remaining, budget, acct) = self.checkpoints.pop()
+        regs, fa, fb, pc, sp, halted, asnap, nlog = self.checkpoints.pop()
         m = self.m
         wlog = self.ctx.wlog
         if len(wlog) < nlog:
@@ -236,62 +215,79 @@ class ExposureEngine:
         m.fa, m.fb, m.pc, m.sp, m.halted = fa, fb, pc, sp, halted
         m.fault = None
         m.alloc.restore(asnap)
-        self.counter = counter
-        self.remaining = remaining
-        self.budget = budget
-        self.acct_stack = acct
         self.ctx.branches.pop()
 
     # -- speculative execution ----------------------------------------------
 
-    def _spec_run(self, depth: int, order: int) -> str:
-        """Execute one speculative path to retirement.  The machine has just
-        entered a block through a (possibly forced) transfer."""
+    def _spec_run(self, depth: int, order: int, pc: int, counter: int,
+                  acct: list[tuple[int, int]]) -> None:
+        """Follow the inverted outcome of the BR at pc as one speculative
+        path of nesting depth ``depth``, to retirement, then roll back to the
+        branch.
+
+        ``counter`` is the window already spent when the path opens and
+        ``acct`` the (remaining, budget) pairs suspended by the calls still
+        open; the path owns both and may change ``acct``.  Its own block
+        accounting starts at the entered block, and every branch it nests
+        below ``order`` opens a child path with its counter and a copy of
+        its ``acct``, so these locals are exactly the state a rollback of
+        the child returns to.
+        """
         m = self.m
+        ctx = self.ctx
         image = self.image
         code = image.code
-        ctx = self.ctx
+        handlers = image.handlers
+        block_lens = image.block_lens
+        window = self.cfg.window
+        stride = self.cfg.stride
+        self.push_checkpoint(image.iid_str[pc])
+        remaining = block_lens[m.force_branch(pc, invert=True)]
+        budget = 0
+        steps = 0
         while True:
             pc = m.pc
             op = code[pc][0]
             if op == O_FENCE:
-                return RETIRE_FENCE
-            if not self._charge():
-                return RETIRE_WINDOW
-            if op == O_BR and depth < order:
-                self.push_checkpoint(image.iid_str[pc])
-                target = m.force_branch(pc, invert=True)
-                self._enter_acct(target)
-                reason = self._spec_run(depth + 1, order)
-                self.retired[reason] = self.retired.get(reason, 0) + 1
-                self.rollback()
-            was_call = op == O_CALL
-            out = m.step(ctx)
-            self.spec_steps += 1
-            if out == OUT_HALT:
-                return RETIRE_HALT
-            if out == OUT_FAULT:
-                return RETIRE_FAULT
-            if m.entered_block >= 0:
-                if was_call:
-                    self.acct_stack.append((self.remaining, self.budget))
-                self._enter_acct(m.entered_block)
-            elif op == O_RET:
-                if self.acct_stack:
-                    self.remaining, self.budget = self.acct_stack.pop()
+                reason = RETIRE_FENCE
+                break
+            # Charge the window: a new chunk of the current block, at most
+            # stride instructions, is admitted only while the counter is
+            # below the window.
+            if budget == 0:
+                if counter >= window:
+                    reason = RETIRE_WINDOW
+                    break
+                if remaining > 0:
+                    chunk = stride if stride < remaining else remaining
+                    remaining -= chunk
                 else:
-                    self.remaining, self.budget = 0, 0
-
-    def _open_tree(self, pc: int, order: int) -> None:
-        """Simulate the tree rooted at the architectural BR at pc."""
-        self.counter = 0
-        self.remaining = 0
-        self.budget = 0
-        self.acct_stack = []
-        self.push_checkpoint(self.image.iid_str[pc])
-        target = self.m.force_branch(pc, invert=True)
-        self._enter_acct(target)
-        reason = self._spec_run(1, order)
+                    chunk = 1  # resumed mid-block with no prepaid budget
+                counter += chunk
+                budget = chunk
+            budget -= 1
+            if op == O_BR and depth < order:
+                self._spec_run(depth + 1, order, pc, counter, acct[:])
+            out = handlers[pc](m, ctx)
+            steps += 1
+            if out == OUT_HALT:
+                reason = RETIRE_HALT
+                break
+            if out == OUT_FAULT:
+                reason = RETIRE_FAULT
+                break
+            entered = m.entered_block
+            if entered >= 0:
+                if op == O_CALL:
+                    acct.append((remaining, budget))
+                remaining = block_lens[entered]
+                budget = 0
+            elif op == O_RET:
+                if acct:
+                    remaining, budget = acct.pop()
+                else:
+                    remaining = budget = 0
+        self.spec_steps += steps
         self.retired[reason] = self.retired.get(reason, 0) + 1
         self.rollback()
 
@@ -308,12 +304,14 @@ class ExposureEngine:
         self.retired = {}
         order_of: dict[str, int] = {}
         edges: set[tuple[int, int]] = set()
+        code = image.code
+        handlers = image.handlers
         cur_block = image.entry_block
         steps = 0
         fault: Fault | None = None
         while steps < cfg.max_steps:
             pc = m.pc
-            op = image.code[pc][0]
+            op = code[pc][0]
             if op == O_BR and cfg.simulate:
                 iid = image.iid_str[pc]
                 order = order_of.get(iid)
@@ -324,8 +322,8 @@ class ExposureEngine:
                     else:
                         order = cfg.max_order
                     order_of[iid] = order
-                self._open_tree(pc, order)
-            out = m.step(None)
+                self._spec_run(1, order, pc, 0, [])
+            out = handlers[pc](m, None)
             steps += 1
             if out == OUT_HALT:
                 break

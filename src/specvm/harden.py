@@ -31,6 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# verify_hardening calls engine.run_with_exposure and
+# machine.run_architectural through their modules, so that wrappers
+# installed on those modules (the benchmark's tracer) see the calls.
+from . import engine, machine
 from .isa import (
     INVERSE_CC,
     BasicBlock,
@@ -261,21 +265,18 @@ def verify_hardening(original: Program, result: HardenResult,
     simulation depth on every input and all surviving violation keys are
     reported.
     """
-    from .engine import SpecConfig, full_order_stats, run_with_exposure
-    from .machine import run_architectural
-
-    cfg = config or SpecConfig()
+    cfg = config or engine.SpecConfig()
     mismatches = []
     residual: set = set()
-    stats = full_order_stats(result.program, cfg)
+    stats = engine.full_order_stats(result.program, cfg)
     for inp in inputs:
-        ra = run_architectural(original, inp, max_steps=cfg.max_steps)
-        rh = run_architectural(result.program, inp, max_steps=cfg.max_steps)
+        ra = machine.run_architectural(original, inp, max_steps=cfg.max_steps)
+        rh = machine.run_architectural(result.program, inp, max_steps=cfg.max_steps)
         fa = ra.state_fingerprint(skip_regs=(MASK_REG, SCRATCH_REG), skip_stack=True)
         fh = rh.state_fingerprint(skip_regs=(MASK_REG, SCRATCH_REG), skip_stack=True)
         if fa != fh or (ra.fault is None) != (rh.fault is None):
             mismatches.append(inp)
-        trace = run_with_exposure(result.program, inp, cfg, stats)
+        trace = engine.run_with_exposure(result.program, inp, cfg, stats)
         for rec in trace.records:
             residual.add((rec.offending, rec.kind, rec.identity(cfg.identity)))
     return {

@@ -16,10 +16,29 @@ Heap allocations are made in bump order at strictly increasing bases,
 never freed, and a rollback only truncates the newest ones.  The list of
 bases is therefore always sorted, and access classification finds the
 allocations around an address by bisection instead of a scan.
+
+The interpreter is threaded code.  ExecImage builds one handler per
+instruction at decode time (``_make_handler``), a closure specialised to
+that instruction's operands, and ``Machine.step`` only calls
+``image.handlers[pc](machine, ctx)``.  Every handler keeps this contract:
+
+* it returns OUT_OK, OUT_HALT or OUT_FAULT, and on OUT_FAULT has set
+  ``machine.fault``;
+* ``entered_block`` is the entered block after a BR, JMP, JTAB or CALL
+  that completed, and -1 after any other instruction and after a fault;
+* a faulting instruction leaves ``pc`` where it was, and HALT too;
+* with ctx set, an out-of-bounds access goes to
+  ``ctx.on_speculative_access`` (a redzone LOAD that may proceed reads the
+  redzone bytes as zeros), any other fault to ``ctx.on_speculative_fault``,
+  and every memory write is logged to ``ctx.wlog``.
+
+The plain reference stepper that the handlers are tested against lives
+with the tests.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -186,14 +205,23 @@ class ExecImage:
     """Flattened, pre-decoded program: the interpreter runs on this.
 
     code[i] is a 5-tuple (op, a, b, c, f) with op a plain int (O_*).
-    Labels are resolved to block indices, blocks to (start, length) in the
-    flat instruction array.  iid_of[i] is the InstructionId of code[i] and
-    iid_str[i] its text, built once here because branch bookkeeping and
-    violation records need it on every visit.
+    Labels are resolved to block indices, blocks to (start, length, fn,
+    label) in the flat instruction array, and block_starts[bi] and
+    block_lens[bi] repeat the first two as plain lists for the stepping
+    loops.  iid_of[i] is the InstructionId of code[i] and iid_str[i] its
+    text, built once here because branch bookkeeping and violation records
+    need it on every visit.
+
+    handlers[i] executes code[i]: a closure (machine, ctx) -> OUT_*, built
+    once here with its operands, immediate or register form, target pcs,
+    return word and id text bound in, so stepping is one indexed call with
+    no dispatch on the opcode.  Machine.step is exactly that call; the
+    contract each handler keeps is in the module docstring.
     """
 
     __slots__ = (
         "program", "code", "iid_of", "iid_str", "blocks", "block_of",
+        "block_starts", "block_lens", "handlers",
         "fn_entry", "entry_block", "n_blocks",
     )
 
@@ -232,6 +260,9 @@ class ExecImage:
             for block in blocks:
                 for ins in block.instrs:
                     self.code.append(self._decode(fn, ins, block_index))
+        self.block_starts: list[int] = [blk[0] for blk in self.blocks]
+        self.block_lens: list[int] = [blk[1] for blk in self.blocks]
+        self.handlers: list = [_make_handler(self, pc) for pc in range(len(self.code))]
 
         self.entry_block = self.fn_entry[program.entry]
         self.n_blocks = len(self.blocks)
@@ -283,34 +314,387 @@ class ExecImage:
             return (opc, o[0].n, 0, 0, 0)
         return (opc, 0, 0, 0, 0)  # RET, FENCE, HALT
 
-    def block_start(self, bi: int) -> int:
-        return self.blocks[bi][0]
-
-    def block_len(self, bi: int) -> int:
-        return self.blocks[bi][1]
-
     def encode_ret(self, flat: int) -> int:
         return RET_ENC_BASE + 8 * flat
 
     def decode_ret(self, value: int) -> int | None:
-        off = value - RET_ENC_BASE
-        if off < 0 or off % 8 or off // 8 >= len(self.code):
-            return None
-        return off // 8
+        return _ret_target(value, len(self.code))
 
 
-def _cc_eval(cc: int, a: int, b: int) -> bool:
-    if cc == 0:
-        return a == b
-    if cc == 1:
-        return a != b
-    if cc == 2:
-        return a < b
-    if cc == 3:
-        return a <= b
-    if cc == 4:
-        return a > b
-    return a >= b
+def _ret_target(value: int, n_code: int) -> int | None:
+    """The position a return word encodes, or None when the word encodes no
+    position of an image with n_code instructions."""
+    off = value - RET_ENC_BASE
+    if off < 0 or off % 8 or off // 8 >= n_code:
+        return None
+    return off // 8
+
+
+# The condition codes by their index in isa.CONDITIONS, applied to the
+# flags (fa, fb).  Registers hold unsigned words, so plain comparison is
+# unsigned comparison.
+_CC = tuple(getattr(operator, cc) for cc in CONDITIONS)
+
+
+def _make_handler(image: ExecImage, pc: int):
+    """The handler of instruction pc: a closure (machine, ctx) -> OUT_* with
+    the instruction's decoded operands, target pcs and id bound in.
+
+    It must not hold the image itself, so that an image and its handlers
+    form no reference cycle.  The contract every handler keeps is in the
+    module docstring.
+    """
+    op, a, b, c, f = image.code[pc]
+    nxt = pc + 1
+    starts = image.block_starts
+
+    if op == O_BR:
+        cond = _CC[a]
+        t_pc, f_pc = starts[b], starts[c]
+
+        def br(m, ctx):
+            if cond(m.fa, m.fb):
+                m.pc = t_pc
+                m.entered_block = b
+            else:
+                m.pc = f_pc
+                m.entered_block = c
+            return OUT_OK
+        return br
+    if op == O_CONST:
+        def const(m, ctx):
+            m.entered_block = -1
+            m.regs[a] = b
+            m.pc = nxt
+            return OUT_OK
+        return const
+    if op == O_MOV:
+        def mov(m, ctx):
+            m.entered_block = -1
+            regs = m.regs
+            regs[a] = regs[b]
+            m.pc = nxt
+            return OUT_OK
+        return mov
+    if op == O_CMP:
+        if f:
+            def cmp_imm(m, ctx):
+                m.entered_block = -1
+                m.fa = m.regs[a]
+                m.fb = b
+                m.pc = nxt
+                return OUT_OK
+            return cmp_imm
+
+        def cmp_reg(m, ctx):
+            m.entered_block = -1
+            regs = m.regs
+            m.fa = regs[a]
+            m.fb = regs[b]
+            m.pc = nxt
+            return OUT_OK
+        return cmp_reg
+    if op == O_SETCC:
+        cond = _CC[b]
+
+        def setcc(m, ctx):
+            m.entered_block = -1
+            m.regs[a] = 1 if cond(m.fa, m.fb) else 0
+            m.pc = nxt
+            return OUT_OK
+        return setcc
+    if op == O_ADD:
+        if f:
+            def add_imm(m, ctx):
+                m.entered_block = -1
+                regs = m.regs
+                regs[a] = (regs[b] + c) & WORD_MASK
+                m.pc = nxt
+                return OUT_OK
+            return add_imm
+
+        def add_reg(m, ctx):
+            m.entered_block = -1
+            regs = m.regs
+            regs[a] = (regs[b] + regs[c]) & WORD_MASK
+            m.pc = nxt
+            return OUT_OK
+        return add_reg
+    if op == O_SUB:
+        if f:
+            def sub_imm(m, ctx):
+                m.entered_block = -1
+                regs = m.regs
+                regs[a] = (regs[b] - c) & WORD_MASK
+                m.pc = nxt
+                return OUT_OK
+            return sub_imm
+
+        def sub_reg(m, ctx):
+            m.entered_block = -1
+            regs = m.regs
+            regs[a] = (regs[b] - regs[c]) & WORD_MASK
+            m.pc = nxt
+            return OUT_OK
+        return sub_reg
+    if op == O_MUL:
+        if f:
+            def mul_imm(m, ctx):
+                m.entered_block = -1
+                regs = m.regs
+                regs[a] = (regs[b] * c) & WORD_MASK
+                m.pc = nxt
+                return OUT_OK
+            return mul_imm
+
+        def mul_reg(m, ctx):
+            m.entered_block = -1
+            regs = m.regs
+            regs[a] = (regs[b] * regs[c]) & WORD_MASK
+            m.pc = nxt
+            return OUT_OK
+        return mul_reg
+    if op == O_AND:
+        if f:
+            def and_imm(m, ctx):
+                m.entered_block = -1
+                regs = m.regs
+                regs[a] = regs[b] & c
+                m.pc = nxt
+                return OUT_OK
+            return and_imm
+
+        def and_reg(m, ctx):
+            m.entered_block = -1
+            regs = m.regs
+            regs[a] = regs[b] & regs[c]
+            m.pc = nxt
+            return OUT_OK
+        return and_reg
+    if op == O_OR:
+        if f:
+            def or_imm(m, ctx):
+                m.entered_block = -1
+                regs = m.regs
+                regs[a] = regs[b] | c
+                m.pc = nxt
+                return OUT_OK
+            return or_imm
+
+        def or_reg(m, ctx):
+            m.entered_block = -1
+            regs = m.regs
+            regs[a] = regs[b] | regs[c]
+            m.pc = nxt
+            return OUT_OK
+        return or_reg
+    if op == O_XOR:
+        if f:
+            def xor_imm(m, ctx):
+                m.entered_block = -1
+                regs = m.regs
+                regs[a] = regs[b] ^ c
+                m.pc = nxt
+                return OUT_OK
+            return xor_imm
+
+        def xor_reg(m, ctx):
+            m.entered_block = -1
+            regs = m.regs
+            regs[a] = regs[b] ^ regs[c]
+            m.pc = nxt
+            return OUT_OK
+        return xor_reg
+    if op == O_SHL:
+        if f:
+            sh = c & 63
+
+            def shl_imm(m, ctx):
+                m.entered_block = -1
+                regs = m.regs
+                regs[a] = (regs[b] << sh) & WORD_MASK
+                m.pc = nxt
+                return OUT_OK
+            return shl_imm
+
+        def shl_reg(m, ctx):
+            m.entered_block = -1
+            regs = m.regs
+            regs[a] = (regs[b] << (regs[c] & 63)) & WORD_MASK
+            m.pc = nxt
+            return OUT_OK
+        return shl_reg
+    if op == O_SHR:
+        if f:
+            sh = c & 63
+
+            def shr_imm(m, ctx):
+                m.entered_block = -1
+                regs = m.regs
+                regs[a] = regs[b] >> sh
+                m.pc = nxt
+                return OUT_OK
+            return shr_imm
+
+        def shr_reg(m, ctx):
+            m.entered_block = -1
+            regs = m.regs
+            regs[a] = regs[b] >> (regs[c] & 63)
+            m.pc = nxt
+            return OUT_OK
+        return shr_reg
+    if op == O_DIV:
+        if f and c == 0:
+            def div_zero(m, ctx):
+                m.entered_block = -1
+                return m._fault(ctx, F_DIV, pc, 0)
+            return div_zero
+        if f:
+            def div_imm(m, ctx):
+                m.entered_block = -1
+                regs = m.regs
+                regs[a] = regs[b] // c
+                m.pc = nxt
+                return OUT_OK
+            return div_imm
+
+        def div_reg(m, ctx):
+            m.entered_block = -1
+            regs = m.regs
+            d = regs[c]
+            if d == 0:
+                return m._fault(ctx, F_DIV, pc, 0)
+            regs[a] = regs[b] // d
+            m.pc = nxt
+            return OUT_OK
+        return div_reg
+    if op == O_LOAD or op == O_STORE:
+        iid = image.iid_str[pc]
+        at = image.iid_of[pc]
+        if op == O_LOAD:
+            def load(m, ctx):
+                m.entered_block = -1
+                regs = m.regs
+                ea = (regs[b] + c) & WORD_MASK
+                kind, ref, off = m._classify(ea, 8)
+                if kind <= A_SCRATCH:
+                    regs[a] = m.raw_read8(ea)
+                    m.pc = nxt
+                    return OUT_OK
+                if ctx is not None and ctx.on_speculative_access(iid, kind, ea, ref, off):
+                    regs[a] = m._read8_redzone_zeroed(ea)
+                    m.pc = nxt
+                    return OUT_OK
+                m.fault = Fault(F_OOB, at, AccessClass(kind, ref, off))
+                return OUT_FAULT
+            return load
+
+        def store(m, ctx):
+            m.entered_block = -1
+            regs = m.regs
+            ea = (regs[b] + c) & WORD_MASK
+            kind, ref, off = m._classify(ea, 8)
+            if kind <= A_SCRATCH:
+                m.raw_write8(ea, regs[a], ctx.wlog if ctx is not None else None)
+                m.pc = nxt
+                return OUT_OK
+            if ctx is not None and ctx.on_speculative_access(iid, kind, ea, ref, off):
+                m.raw_write8(ea, regs[a], ctx.wlog)
+                m.pc = nxt
+                return OUT_OK
+            m.fault = Fault(F_OOB, at, AccessClass(kind, ref, off))
+            return OUT_FAULT
+        return store
+    if op == O_JMP:
+        t_pc = starts[a]
+
+        def jmp(m, ctx):
+            m.pc = t_pc
+            m.entered_block = a
+            return OUT_OK
+        return jmp
+    if op == O_JTAB:
+        targets = tuple((starts[bi], bi) for bi in b)
+        n_targets = len(targets)
+
+        def jtab(m, ctx):
+            idx = m.regs[a]
+            if idx >= n_targets:
+                m.entered_block = -1
+                return m._fault(ctx, F_JTAB, pc, idx)
+            m.pc, m.entered_block = targets[idx]
+            return OUT_OK
+        return jtab
+    if op == O_ALLOC:
+        def alloc(m, ctx):
+            m.entered_block = -1
+            base = m.alloc.alloc(b if f else m.regs[b])
+            if base is None:
+                return m._fault(ctx, F_HEAP, pc, 0)
+            m.regs[a] = base
+            m.pc = nxt
+            return OUT_OK
+        return alloc
+    if op == O_CALL:
+        callee = image.fn_entry[a]
+        callee_pc = starts[callee]
+        ret_word = image.encode_ret(nxt)
+
+        def call(m, ctx):
+            new_sp = m.sp - 8
+            if new_sp < m.layout.stack_lo:
+                m.entered_block = -1
+                return m._fault(ctx, F_STACK, pc, 0)
+            m.raw_write8(new_sp, ret_word, ctx.wlog if ctx is not None else None)
+            m.sp = new_sp
+            m.pc = callee_pc
+            m.entered_block = callee
+            return OUT_OK
+        return call
+    if op == O_RET:
+        n_code = len(image.code)
+
+        def ret(m, ctx):
+            m.entered_block = -1
+            sp = m.sp
+            if sp >= m.layout.stack_hi:
+                return m._fault(ctx, F_RET, pc, 0)
+            value = m.raw_read8(sp)
+            target = _ret_target(value, n_code)
+            if target is None:
+                return m._fault(ctx, F_RET, pc, value)
+            m.sp = sp + 8
+            m.pc = target
+            return OUT_OK
+        return ret
+    if op == O_INPUT:
+        def input_(m, ctx):
+            m.entered_block = -1
+            data = m.input
+            m.regs[a] = data[b] if b < len(data) else 0
+            m.pc = nxt
+            return OUT_OK
+        return input_
+    if op == O_INPUTLEN:
+        def inputlen(m, ctx):
+            m.entered_block = -1
+            m.regs[a] = len(m.input)
+            m.pc = nxt
+            return OUT_OK
+        return inputlen
+    if op == O_FENCE:
+        def fence(m, ctx):
+            m.entered_block = -1
+            m.pc = nxt
+            return OUT_OK
+        return fence
+    if op == O_HALT:
+        def halt(m, ctx):
+            m.entered_block = -1
+            m.halted = True
+            return OUT_HALT
+        return halt
+    raise AssertionError(f"undecoded op {op}")  # pragma: no cover
 
 
 class Machine:
@@ -328,7 +712,7 @@ class Machine:
         self.regs = [0] * 16
         self.fa = 0
         self.fb = 0
-        self.pc = image.block_start(image.entry_block)
+        self.pc = image.block_starts[image.entry_block]
         self.sp = self.layout.stack_hi
         self.halted = False
         self.pages: dict[int, bytearray] = {}
@@ -489,7 +873,7 @@ class Machine:
     def branch_outcome(self, flat: int) -> tuple[bool, int, int]:
         """(condition holds, taken block, fall block) for the BR at flat."""
         _, cc, tb, fb, _ = self.image.code[flat]
-        return _cc_eval(cc, self.fa, self.fb), tb, fb
+        return _CC[cc](self.fa, self.fb), tb, fb
 
     def force_branch(self, flat: int, invert: bool) -> int:
         """Move pc to the BR's outcome (or its inverse); returns target block."""
@@ -497,7 +881,7 @@ class Machine:
         if invert:
             holds = not holds
         bi = tb if holds else fb
-        self.pc = self.image.block_start(bi)
+        self.pc = self.image.block_starts[bi]
         self.entered_block = bi
         return bi
 
@@ -511,129 +895,7 @@ class Machine:
         to ctx (a detect.SpecContext), memory writes are logged to ctx.wlog.
         Returns OUT_OK, OUT_HALT, or OUT_FAULT (details in self.fault).
         """
-        image = self.image
-        pc = self.pc
-        op, a, b, c, f = image.code[pc]
-        regs = self.regs
-        self.entered_block = -1
-
-        if op == O_BR:
-            holds = _cc_eval(a, self.fa, self.fb)
-            bi = b if holds else c
-            self.pc = image.block_start(bi)
-            self.entered_block = bi
-            return OUT_OK
-        if op == O_CONST:
-            regs[a] = b
-            self.pc = pc + 1
-            return OUT_OK
-        if op == O_LOAD:
-            ea = (regs[b] + c) & WORD_MASK
-            kind, ref, off = self._classify(ea, 8)
-            if kind <= A_SCRATCH:
-                regs[a] = self.raw_read8(ea)
-                self.pc = pc + 1
-                return OUT_OK
-            if ctx is not None and ctx.on_speculative_access(
-                    image.iid_str[pc], kind, ea, ref, off):
-                regs[a] = self._read8_redzone_zeroed(ea)
-                self.pc = pc + 1
-                return OUT_OK
-            self.fault = Fault(F_OOB, image.iid_of[pc], AccessClass(kind, ref, off))
-            return OUT_FAULT
-        if op == O_STORE:
-            ea = (regs[b] + c) & WORD_MASK
-            kind, ref, off = self._classify(ea, 8)
-            if kind <= A_SCRATCH:
-                self.raw_write8(ea, regs[a], ctx.wlog if ctx is not None else None)
-                self.pc = pc + 1
-                return OUT_OK
-            if ctx is not None and ctx.on_speculative_access(
-                    image.iid_str[pc], kind, ea, ref, off):
-                self.raw_write8(ea, regs[a], ctx.wlog)
-                self.pc = pc + 1
-                return OUT_OK
-            self.fault = Fault(F_OOB, image.iid_of[pc], AccessClass(kind, ref, off))
-            return OUT_FAULT
-        if op == O_ADD:
-            regs[a] = (regs[b] + (c if f else regs[c])) & WORD_MASK
-        elif op == O_SUB:
-            regs[a] = (regs[b] - (c if f else regs[c])) & WORD_MASK
-        elif op == O_MUL:
-            regs[a] = (regs[b] * (c if f else regs[c])) & WORD_MASK
-        elif op == O_AND:
-            regs[a] = regs[b] & (c if f else regs[c])
-        elif op == O_OR:
-            regs[a] = regs[b] | (c if f else regs[c])
-        elif op == O_XOR:
-            regs[a] = regs[b] ^ (c if f else regs[c])
-        elif op == O_SHL:
-            regs[a] = (regs[b] << ((c if f else regs[c]) & 63)) & WORD_MASK
-        elif op == O_SHR:
-            regs[a] = regs[b] >> ((c if f else regs[c]) & 63)
-        elif op == O_DIV:
-            d = c if f else regs[c]
-            if d == 0:
-                return self._fault(ctx, F_DIV, pc, 0)
-            regs[a] = regs[b] // d
-        elif op == O_CMP:
-            self.fa = regs[a]
-            self.fb = b if f else regs[b]
-        elif op == O_SETCC:
-            regs[a] = 1 if _cc_eval(b, self.fa, self.fb) else 0
-        elif op == O_MOV:
-            regs[a] = regs[b]
-        elif op == O_JMP:
-            self.pc = image.block_start(a)
-            self.entered_block = a
-            return OUT_OK
-        elif op == O_JTAB:
-            idx = regs[a]
-            if idx >= len(b):
-                return self._fault(ctx, F_JTAB, pc, idx)
-            bi = b[idx]
-            self.pc = image.block_start(bi)
-            self.entered_block = bi
-            return OUT_OK
-        elif op == O_ALLOC:
-            size = b if f else regs[b]
-            base = self.alloc.alloc(size)
-            if base is None:
-                return self._fault(ctx, F_HEAP, pc, 0)
-            regs[a] = base
-        elif op == O_CALL:
-            new_sp = self.sp - 8
-            if new_sp < self.layout.stack_lo:
-                return self._fault(ctx, F_STACK, pc, 0)
-            self.raw_write8(new_sp, image.encode_ret(pc + 1), ctx.wlog if ctx is not None else None)
-            self.sp = new_sp
-            bi = image.fn_entry[a]
-            self.pc = image.block_start(bi)
-            self.entered_block = bi
-            return OUT_OK
-        elif op == O_RET:
-            if self.sp >= self.layout.stack_hi:
-                return self._fault(ctx, F_RET, pc, 0)
-            value = self.raw_read8(self.sp)
-            target = image.decode_ret(value)
-            if target is None:
-                return self._fault(ctx, F_RET, pc, value)
-            self.sp += 8
-            self.pc = target
-            return OUT_OK
-        elif op == O_INPUT:
-            regs[a] = self.input[b] if b < len(self.input) else 0
-        elif op == O_INPUTLEN:
-            regs[a] = len(self.input)
-        elif op == O_FENCE:
-            pass
-        elif op == O_HALT:
-            self.halted = True
-            return OUT_HALT
-        else:  # pragma: no cover
-            raise AssertionError(f"undecoded op {op}")
-        self.pc = pc + 1
-        return OUT_OK
+        return self.image.handlers[self.pc](self, ctx)
 
     def _fault(self, ctx, kind: str, pc: int, value: int) -> int:
         """Record a non-access fault at pc; under speculation ctx also sees
@@ -695,8 +957,9 @@ def run_architectural(
     m = Machine(image, input_bytes, layout)
     steps = 0
     fault = None
+    handlers = image.handlers
     while steps < max_steps:
-        out = m.step(None)
+        out = handlers[m.pc](m, None)
         steps += 1
         if out == OUT_HALT:
             break

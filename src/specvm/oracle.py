@@ -123,7 +123,7 @@ def _run_script(image: ExecImage, input_bytes: bytes, root: str, occurrence: int
     target = m.force_branch(m.pc, invert=True)
     blocks: list[str] = [_block_name(image, target)]
     counter = 0
-    remaining = image.block_len(target)
+    remaining = image.block_lens[target]
     budget = 0
     acct: list[tuple[int, int]] = []
     encounter = 0
@@ -152,7 +152,7 @@ def _run_script(image: ExecImage, input_bytes: bytes, root: str, occurrence: int
                 ctx.branches.append(iid_str[pc])
                 target = m.force_branch(pc, invert=True)
                 blocks.append(_block_name(image, target))
-                remaining = image.block_len(target)
+                remaining = image.block_lens[target]
                 budget = 0
                 continue
         was_call = op == O_CALL
@@ -167,7 +167,7 @@ def _run_script(image: ExecImage, input_bytes: bytes, root: str, occurrence: int
             if was_call:
                 acct.append((remaining, budget))
             blocks.append(_block_name(image, m.entered_block))
-            remaining = image.block_len(m.entered_block)
+            remaining = image.block_lens[m.entered_block]
             budget = 0
         elif op == O_RET:
             if acct:

@@ -2,9 +2,8 @@
 
 Every generated program terminates by construction: branches, jumps, and
 jump tables only target blocks that come later in the same function, and
-calls only reach functions generated after the caller, so there is no
-recursion.  With ``loops=True`` a function may also hold one counted loop,
-the only backward edge:
+calls only reach functions generated after the caller.  With ``loops=True``
+a function may also hold one counted loop, the only backward edge:
 
 * its header block sets the loop counter (1 to 4) and branches only into
   the loop body, the blocks after it up to the latch;
@@ -17,6 +16,19 @@ other than the header and latch writes, so every loop runs at most four
 times per entry.  Under speculation a latch may be mispredicted back into
 the body with the counter at zero; the window bounds that path.
 
+With ``recursion=True`` one function other than the entry calls itself,
+with a depth cap.  The entry function first sets the depth register r10
+(1 to 4) and calls the recursive function, whose added first block is
+
+    r:   cmp r10, 0 ; br eq, b0, rc     (or the inverse polarity)
+    rc:  sub r10, r10, 1 ; ... ; call <self> ; add r10, r10, 1 ; jmp b0
+
+so every entry to it recurses as many levels as the register says and
+restores the register on the way out.  No other generated instruction
+writes r10, so recursion never nests deeper than four calls.  Under
+speculation the guard may be mispredicted with r10 at zero; the path then
+recurses with a wrapped counter until the window or the stack ends it.
+
 Architectural faults (division by zero, an out of range access that
 leaves the mapped regions) are possible and fine; both executors under
 test must agree on them.
@@ -24,7 +36,8 @@ test must agree on them.
 Registers r0 through r13 are used, leaving r14 and r15 free so the same
 programs can be pushed through the masking hardener.  With loops, r11 to
 r13 are the counters of the first, second and third function and
-instructions write only r0 to r10.
+instructions write only r0 to r10; with recursion they write only r0 to
+r9.
 """
 
 from __future__ import annotations
@@ -56,15 +69,25 @@ def _rand_value(rng: random.Random) -> int:
     return rng.choice((0, 1, 2, 7, 8, 16, 255, rng.randrange(1 << 16)))
 
 
+DEPTH_REG = 10  # recursion depth register: only its set-up and the guard write it
+
+
 class _FnGen:
     def __init__(self, rng: random.Random, name: str, callees: list[str], is_entry: bool,
-                 counter: int | None = None):
+                 counter: int | None = None, recursion: bool = False,
+                 recursive: bool = False):
         self.rng = rng
         self.name = name
         self.callees = callees
         self.is_entry = is_entry
         self.counter = counter  # loop counter register, None without loops
-        self.n_regs = 14 if counter is None else 11  # registers instructions write
+        self.recursive = recursive  # this function calls itself
+        # Registers instructions write: those below the loop counters and
+        # the recursion depth register.
+        if recursion:
+            self.n_regs = DEPTH_REG
+        else:
+            self.n_regs = 14 if counter is None else 11
         self.alloc_regs: list[int] = []
 
     def _body_instr(self) -> list[Instruction]:
@@ -124,6 +147,20 @@ class _FnGen:
         return [Instruction(Op.SUB, (ctr, ctr, Imm(1))),
                 Instruction(Op.CMP, (ctr, Imm(0))), br]
 
+    def _recursion_guard(self, body: str) -> list[BasicBlock]:
+        """Blocks r and rc (see the module docstring), entering at r."""
+        rng, depth = self.rng, Reg(DEPTH_REG)
+        br = (Instruction(Op.BR, (Cond("eq"), Lab(body), Lab("rc"))) if rng.random() < 0.5
+              else Instruction(Op.BR, (Cond("ne"), Lab("rc"), Lab(body))))
+        rc = [Instruction(Op.SUB, (depth, depth, Imm(1)))]
+        for _ in range(rng.randrange(3)):
+            rc.extend(self._body_instr())
+        rc += [Instruction(Op.CALL, (FnRef(self.name),)),
+               Instruction(Op.ADD, (depth, depth, Imm(1))),
+               Instruction(Op.JMP, (Lab(body),))]
+        return [BasicBlock("r", [Instruction(Op.CMP, (depth, Imm(0))), br]),
+                BasicBlock("rc", rc)]
+
     def build(self, n_blocks: int) -> list[BasicBlock]:
         rng = self.rng
         labels = [f"b{i}" for i in range(n_blocks)]
@@ -171,21 +208,38 @@ class _FnGen:
                     term = Instruction(Op.JMP, (Lab(rng.choice(later)),))
             instrs.append(term)
             blocks.append(BasicBlock(label, instrs))
+        if self.recursive:
+            blocks[:0] = self._recursion_guard(labels[0])
         return blocks
 
 
-def random_program(seed: int, loops: bool = False) -> Program:
+def random_program(seed: int, loops: bool = False, recursion: bool = False) -> Program:
     """Deterministically generate a small, always-terminating program,
-    with counted loops when loops is set.  The loop code draws nothing from
-    the seeded generator when loops is off."""
+    with counted loops when loops is set and capped recursion when
+    recursion is set.  The loop and recursion code draw nothing from the
+    seeded generator when they are off, so such programs are unchanged."""
     rng = random.Random(seed)
     n_fns = rng.randrange(1, 4)
+    recursive = None
+    if recursion:
+        n_fns = max(n_fns, 2)
+        recursive = rng.randrange(1, n_fns)
     names = [f"f{i}" for i in range(n_fns)]
     functions = {}
     for i, name in enumerate(names):
         gen = _FnGen(rng, name, callees=names[i + 1 :], is_entry=(i == 0),
-                     counter=13 - i if loops else None)
+                     counter=13 - i if loops else None, recursion=recursion,
+                     recursive=i == recursive)
         functions[name] = gen.build(rng.randrange(3, 7) if loops else rng.randrange(2, 5))
+    if recursion:
+        depth = Reg(DEPTH_REG)
+        init = ([Instruction(Op.CONST, (depth, Imm(rng.randrange(1, 5))))]
+                if rng.random() < 0.5 else
+                [Instruction(Op.INPUT, (depth, Imm(rng.randrange(4)))),
+                 Instruction(Op.AND, (depth, depth, Imm(3))),
+                 Instruction(Op.ADD, (depth, depth, Imm(1)))])
+        init.append(Instruction(Op.CALL, (FnRef(names[recursive]),)))
+        functions[names[0]][0].instrs[:0] = init
     prog = Program(functions=functions, entry=names[0], data=bytes(rng.randrange(256) for _ in range(rng.randrange(0, 9))))
     report = validate(prog)
     assert report.ok, str(report)

@@ -1,0 +1,211 @@
+"""Reference stepper: the plain if-chain interpreter the handlers replace.
+
+``reference_step(machine, ctx)`` executes one instruction of ``machine``
+exactly as the threaded ``Machine.step`` must: same return value, state,
+fault, ``SpecContext`` records and write log.  It decodes each instruction
+from ``ExecImage.code`` on every call, dispatches on the opcode and reads
+block starts from ``ExecImage.blocks``, so it shares no dispatch, condition
+or block-table code with the handlers.  Memory, the allocator and access
+classification are shared; tests/test_machine.py checks those against
+linear references of their own.
+
+tests/test_stepper.py steps a handler-driven and a reference-driven machine
+in lockstep and compares them after every instruction.
+"""
+
+from specvm.isa import WORD_MASK
+from specvm.machine import (
+    A_SCRATCH,
+    F_DIV,
+    F_HEAP,
+    F_JTAB,
+    F_OOB,
+    F_RET,
+    F_STACK,
+    O_ADD,
+    O_ALLOC,
+    O_AND,
+    O_BR,
+    O_CALL,
+    O_CMP,
+    O_CONST,
+    O_DIV,
+    O_FENCE,
+    O_HALT,
+    O_INPUT,
+    O_INPUTLEN,
+    O_JMP,
+    O_JTAB,
+    O_LOAD,
+    O_MOV,
+    O_MUL,
+    O_OR,
+    O_RET,
+    O_SETCC,
+    O_SHL,
+    O_SHR,
+    O_STORE,
+    O_SUB,
+    O_XOR,
+    OUT_FAULT,
+    OUT_HALT,
+    OUT_OK,
+    AccessClass,
+    Fault,
+)
+
+
+def _cc_eval(cc: int, a: int, b: int) -> bool:
+    if cc == 0:
+        return a == b
+    if cc == 1:
+        return a != b
+    if cc == 2:
+        return a < b
+    if cc == 3:
+        return a <= b
+    if cc == 4:
+        return a > b
+    return a >= b
+
+
+def reference_step(self, ctx=None) -> int:
+    """Execute one instruction.
+
+    ctx None: architectural semantics (OOB and decode failures fault).
+    ctx set: speculative semantics; access and fault policy are delegated
+    to ctx (a detect.SpecContext), memory writes are logged to ctx.wlog.
+    Returns OUT_OK, OUT_HALT, or OUT_FAULT (details in self.fault).
+    """
+    image = self.image
+    pc = self.pc
+    op, a, b, c, f = image.code[pc]
+    regs = self.regs
+    self.entered_block = -1
+
+    if op == O_BR:
+        holds = _cc_eval(a, self.fa, self.fb)
+        bi = b if holds else c
+        self.pc = image.blocks[bi][0]
+        self.entered_block = bi
+        return OUT_OK
+    if op == O_CONST:
+        regs[a] = b
+        self.pc = pc + 1
+        return OUT_OK
+    if op == O_LOAD:
+        ea = (regs[b] + c) & WORD_MASK
+        kind, ref, off = self._classify(ea, 8)
+        if kind <= A_SCRATCH:
+            regs[a] = self.raw_read8(ea)
+            self.pc = pc + 1
+            return OUT_OK
+        if ctx is not None and ctx.on_speculative_access(
+                image.iid_str[pc], kind, ea, ref, off):
+            regs[a] = self._read8_redzone_zeroed(ea)
+            self.pc = pc + 1
+            return OUT_OK
+        self.fault = Fault(F_OOB, image.iid_of[pc], AccessClass(kind, ref, off))
+        return OUT_FAULT
+    if op == O_STORE:
+        ea = (regs[b] + c) & WORD_MASK
+        kind, ref, off = self._classify(ea, 8)
+        if kind <= A_SCRATCH:
+            self.raw_write8(ea, regs[a], ctx.wlog if ctx is not None else None)
+            self.pc = pc + 1
+            return OUT_OK
+        if ctx is not None and ctx.on_speculative_access(
+                image.iid_str[pc], kind, ea, ref, off):
+            self.raw_write8(ea, regs[a], ctx.wlog)
+            self.pc = pc + 1
+            return OUT_OK
+        self.fault = Fault(F_OOB, image.iid_of[pc], AccessClass(kind, ref, off))
+        return OUT_FAULT
+    if op == O_ADD:
+        regs[a] = (regs[b] + (c if f else regs[c])) & WORD_MASK
+    elif op == O_SUB:
+        regs[a] = (regs[b] - (c if f else regs[c])) & WORD_MASK
+    elif op == O_MUL:
+        regs[a] = (regs[b] * (c if f else regs[c])) & WORD_MASK
+    elif op == O_AND:
+        regs[a] = regs[b] & (c if f else regs[c])
+    elif op == O_OR:
+        regs[a] = regs[b] | (c if f else regs[c])
+    elif op == O_XOR:
+        regs[a] = regs[b] ^ (c if f else regs[c])
+    elif op == O_SHL:
+        regs[a] = (regs[b] << ((c if f else regs[c]) & 63)) & WORD_MASK
+    elif op == O_SHR:
+        regs[a] = regs[b] >> ((c if f else regs[c]) & 63)
+    elif op == O_DIV:
+        d = c if f else regs[c]
+        if d == 0:
+            return _fault(self, ctx, F_DIV, pc, 0)
+        regs[a] = regs[b] // d
+    elif op == O_CMP:
+        self.fa = regs[a]
+        self.fb = b if f else regs[b]
+    elif op == O_SETCC:
+        regs[a] = 1 if _cc_eval(b, self.fa, self.fb) else 0
+    elif op == O_MOV:
+        regs[a] = regs[b]
+    elif op == O_JMP:
+        self.pc = image.blocks[a][0]
+        self.entered_block = a
+        return OUT_OK
+    elif op == O_JTAB:
+        idx = regs[a]
+        if idx >= len(b):
+            return _fault(self, ctx, F_JTAB, pc, idx)
+        bi = b[idx]
+        self.pc = image.blocks[bi][0]
+        self.entered_block = bi
+        return OUT_OK
+    elif op == O_ALLOC:
+        size = b if f else regs[b]
+        base = self.alloc.alloc(size)
+        if base is None:
+            return _fault(self, ctx, F_HEAP, pc, 0)
+        regs[a] = base
+    elif op == O_CALL:
+        new_sp = self.sp - 8
+        if new_sp < self.layout.stack_lo:
+            return _fault(self, ctx, F_STACK, pc, 0)
+        self.raw_write8(new_sp, image.encode_ret(pc + 1), ctx.wlog if ctx is not None else None)
+        self.sp = new_sp
+        bi = image.fn_entry[a]
+        self.pc = image.blocks[bi][0]
+        self.entered_block = bi
+        return OUT_OK
+    elif op == O_RET:
+        if self.sp >= self.layout.stack_hi:
+            return _fault(self, ctx, F_RET, pc, 0)
+        value = self.raw_read8(self.sp)
+        target = image.decode_ret(value)
+        if target is None:
+            return _fault(self, ctx, F_RET, pc, value)
+        self.sp += 8
+        self.pc = target
+        return OUT_OK
+    elif op == O_INPUT:
+        regs[a] = self.input[b] if b < len(self.input) else 0
+    elif op == O_INPUTLEN:
+        regs[a] = len(self.input)
+    elif op == O_FENCE:
+        pass
+    elif op == O_HALT:
+        self.halted = True
+        return OUT_HALT
+    else:  # pragma: no cover
+        raise AssertionError(f"undecoded op {op}")
+    self.pc = pc + 1
+    return OUT_OK
+
+def _fault(self, ctx, kind: str, pc: int, value: int) -> int:
+    """Record a non-access fault at pc; under speculation ctx also sees
+    it, with the offending value for corrupted control transfers."""
+    self.fault = Fault(kind, self.image.iid_of[pc])
+    if ctx is not None:
+        ctx.on_speculative_fault(self.image.iid_str[pc], kind, value)
+    return OUT_FAULT
+

@@ -99,11 +99,20 @@ def test_02_hardening_is_sound(report):
               "in under five minutes", body)
 
 
+# (loops, recursion, programs): random program kinds for checks 03 and 04.
+# Programs that both loop and recurse run far longer, and the oracle
+# re-executes each one from its start per script, so 03 takes fewer.
+KINDS_03 = ((False, False, 200), (True, False, 200), (False, True, 200),
+            (True, True, 50))
+KINDS_04 = ((False, False, 500), (True, False, 500), (False, True, 500),
+            (True, True, 500))
+
+
 def test_03_engine_matches_exhaustive_enumeration(report):
     def body():
-        for loops in (False, True):
-            for seed in range(200):
-                p = random_program(seed, loops)
+        for loops, recursion, n in KINDS_03:
+            for seed in range(n):
+                p = random_program(seed, loops, recursion)
                 data = random_input(seed)
                 for order in (1, 2, 3):
                     cfg = SpecConfig(max_order=order, window=64, stride=16)
@@ -112,55 +121,68 @@ def test_03_engine_matches_exhaustive_enumeration(report):
                                    for r in trace.records}
                     oracle = enumerate_paths(p, data, max_order=order,
                                              window=64, stride=16)
-                    assert engine_keys == oracle.keys, (seed, loops, order)
+                    assert engine_keys == oracle.keys, (seed, loops, recursion, order)
         return True
 
     report(3, "checkpointing engine and script-enumeration oracle agree on "
-              "every violation across 200 acyclic and 200 looping random "
-              "programs at depths 1 to 3", body)
+              "every violation across 200 acyclic, 200 looping, 200 recursive "
+              "and 50 looping recursive random programs at depths 1 to 3", body)
 
 
 def test_04_simulation_is_architecturally_transparent(report):
     def body():
-        for loops in (False, True):
-            for seed in range(500):
-                p = random_program(seed, loops)
+        for loops, recursion, n in KINDS_04:
+            for seed in range(n):
+                p = random_program(seed, loops, recursion)
                 data = random_input(seed * 31 + 7)
                 plain = run_architectural(p, data)
                 exposed = run_with_exposure(p, data,
                                             SpecConfig(max_order=3, window=64,
                                                        stride=16)).result
-                assert plain.state_fingerprint() == exposed.state_fingerprint(), (seed, loops)
+                where = (seed, loops, recursion)
+                assert plain.state_fingerprint() == exposed.state_fingerprint(), where
                 pk = plain.fault.kind if plain.fault else None
                 ek = exposed.fault.kind if exposed.fault else None
-                assert pk == ek, (seed, loops)
+                assert pk == ek, where
         return True
 
     report(4, "speculation exposure never perturbs the architectural result "
-              "on 500 acyclic and 500 looping random program and input pairs", body)
+              "on 500 each of acyclic, looping, recursive and looping "
+              "recursive random program and input pairs", body)
 
 
 def test_05_speculation_window_boundary(report):
-    def chain(n):
+    def chain(n, call):
+        """A mispredicted path of n one-instruction blocks before an
+        out-of-bounds load.  With call, its last three instructions are a
+        call, the callee's ret and a jmp after the return."""
+        jumps = n - 3 if call else n
         lines = ["fn main:", "e:", "  alloc r1, 8", "  cmp r0, 0",
                  "  br eq, out, c0"]
-        for i in range(n):
-            nxt = f"c{i + 1}" if i + 1 < n else "load"
+        for i in range(jumps):
+            nxt = f"c{i + 1}" if i + 1 < jumps or call else "load"
             lines += [f"c{i}:", f"  jmp {nxt}"]
+        if call:
+            lines += [f"c{jumps}:", "  call g", "  jmp load"]
         lines += ["load:", "  load r2, r1, 8", "  halt", "out:", "  halt"]
+        if call:
+            lines += ["fn g:", "g0:", "  ret"]
         return parse_program("\n".join(lines) + "\n")
 
     def body():
-        outcomes = {}
-        for n in (249, 250, 251):
-            trace = run_with_exposure(chain(n), b"", SpecConfig(max_order=1))
-            oracle = enumerate_paths(chain(n), b"", max_order=1)
-            assert bool(trace.records) == bool(oracle.records), n
-            outcomes[n] = bool(trace.records)
-        return outcomes == {249: True, 250: False, 251: False}
+        for call in (False, True):
+            outcomes = {}
+            for n in (249, 250, 251):
+                trace = run_with_exposure(chain(n, call), b"", SpecConfig(max_order=1))
+                oracle = enumerate_paths(chain(n, call), b"", max_order=1)
+                assert bool(trace.records) == bool(oracle.records), (n, call)
+                outcomes[n] = bool(trace.records)
+            assert outcomes == {249: True, 250: False, 251: False}, call
+        return True
 
     report(5, "a leak 249 speculative instructions deep is found and one "
-              "250 or 251 deep is not, on both engine and oracle", body)
+              "250 or 251 deep is not, on both engine and oracle, also when "
+              "the leak comes after a call returns", body)
 
 
 def test_06_nesting_depth_schedule(report):

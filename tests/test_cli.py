@@ -1,11 +1,13 @@
 """Command line interface: subcommands, exit codes, option precedence."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from specvm.artifacts import read_json
-from specvm.cli import main
+from specvm.cli import build_parser, main
 from specvm.gadgets import builtin_gadget
 from specvm.isa import parse_program
 
@@ -194,6 +196,17 @@ def test_analyze_writes_report_and_whitelist(session_dir, tmp_path, capsys):
     assert wl.read_text().startswith("#%svm ")
 
 
+def test_analyze_takes_identity_from_config(session_dir, tmp_path, capsys):
+    trace = str(session_dir / "trace.jsonl")
+    assert main(["analyze", trace]) == 0
+    assert "targets=[alloc#" in capsys.readouterr().out
+    conf = tmp_path / "raw.conf"
+    conf.write_text("identity=raw\n")
+    assert main(["analyze", trace, "--config", str(conf)]) == 0
+    out = capsys.readouterr().out
+    assert "targets=[0x" in out and "alloc#" not in out
+
+
 def test_analyze_whitelist_needs_stats(session_dir, tmp_path):
     assert main(["analyze", str(session_dir / "trace.jsonl"),
                  "--whitelist-out", str(tmp_path / "wl.txt")]) == 1
@@ -273,6 +286,16 @@ def test_oracle_text_and_json(g01, capsys):
     assert doc["records"][0]["kind"] == "data-oob"
 
 
+def test_oracle_takes_identity_from_config(g01, tmp_path, capsys):
+    assert main(["oracle", g01, "--input", "09"]) == 0
+    assert "identity=('ref'," in capsys.readouterr().out
+    conf = tmp_path / "raw.conf"
+    conf.write_text("identity=raw\n")
+    assert main(["oracle", g01, "--input", "09", "--config", str(conf)]) == 0
+    out = capsys.readouterr().out
+    assert "identity=('addr'," in out and "'ref'" not in out
+
+
 def test_oracle_strict_exit(g01):
     assert main(["oracle", g01, "--input", "09", "--strict"]) == 3
     assert main(["oracle", g01, "--input", "03", "--strict"]) == 0
@@ -311,3 +334,17 @@ def test_gadgets_dir_export(tmp_path):
     files = sorted(p.name for p in out.iterdir())
     assert len(files) == 18
     assert files[0] == "g01_bounds_check_bypass.sasm"
+
+
+# -- README -------------------------------------------------------------------------------
+
+def test_readme_cli_examples_parse():
+    # Every svm line of the README's CLI block must be accepted as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(ln, comments=True)
+                for ln in block.replace("\\\n", " ").splitlines()
+                if ln.startswith("svm ")]
+    assert len(commands) == 8
+    for argv in commands:
+        build_parser().parse_args(argv[1:])

@@ -1,8 +1,11 @@
 """Architectural interpreter: memory model, access rules, faults, calls."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specvm.gadgets import builtin_gadget, gadget_ids
 from specvm.isa import parse_program
 from specvm.machine import (
     A_REDZONE,
@@ -353,6 +356,19 @@ def test_ret_decoding_rejects_garbage():
     assert image.decode_ret(0) is None
     assert image.decode_ret(RET_ENC_BASE + 4) is None  # misaligned
     assert image.decode_ret(RET_ENC_BASE + 8 * 100) is None  # out of range
+
+
+# -- handler table -------------------------------------------------------------
+
+def test_handlers_form_no_reference_cycle_with_their_image():
+    # A cycle would keep every decoded image alive until a full collection.
+    programs = [builtin_gadget(gid).program for gid in gadget_ids()]
+    gc.collect()
+    for program in programs:
+        image = ExecImage(program)
+        assert len(image.handlers) == len(image.code)
+    del image
+    assert gc.collect() == 0
 
 
 # -- results -------------------------------------------------------------------

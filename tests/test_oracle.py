@@ -5,6 +5,7 @@ import pytest
 from genprog import random_input, random_program
 from specvm.engine import SpecConfig, run_with_exposure
 from specvm.isa import parse_program
+from specvm.machine import ExecImage, Machine
 from specvm.oracle import OracleError, enumerate_paths
 
 CENSUS = """\
@@ -127,3 +128,24 @@ def test_looping_programs_repeat_roots_and_blocks():
         repeated_roots += any(s.occurrence > 1 for s in out.scripts)
         revisited_blocks += any(len(set(s.blocks)) < len(s.blocks) for s in out.scripts)
     assert repeated_roots >= 10 and revisited_blocks >= 10
+
+
+def test_recursive_programs_nest_calls_on_both_paths():
+    # Acceptance 03 and 04 run the generator's recursive programs; they must
+    # really nest calls architecturally and re-enter the recursion guard on
+    # speculative paths.
+    nested = spec_recursion = 0
+    for seed in range(50):
+        p = random_program(seed, recursion=True)
+        data = random_input(seed)
+        m = Machine(ExecImage(p), data)
+        lowest = m.sp
+        for _ in range(10_000):
+            if m.step(None) != 0:
+                break
+            lowest = min(lowest, m.sp)
+        nested += m.layout.stack_hi - lowest >= 3 * 8
+        out = enumerate_paths(p, data, window=64, stride=16)
+        spec_recursion += any(sum(b.endswith(":r") for b in s.blocks) >= 2
+                              for s in out.scripts)
+    assert nested >= 10 and spec_recursion >= 10

@@ -1,0 +1,125 @@
+"""Threaded handlers against the reference stepper, in lockstep.
+
+Two machines run the same program and input: one through Machine.step (the
+per-instruction handlers), one through refstep.reference_step.  After every
+instruction the return value and the whole visible state must agree.
+Speculative runs hand each machine its own SpecContext and at random
+branches force both down the inverted outcome, as the exposure engine
+does, so the access and fault policy hooks and the write log are compared
+too.
+"""
+
+import random
+
+import pytest
+
+from genprog import random_input, random_program
+from refstep import _cc_eval, reference_step
+from specvm.detect import SpecContext
+from specvm.gadgets import builtin_gadget, gadget_ids
+from specvm.harden import fence_pass, slh_pass
+from specvm.isa import parse_program
+from specvm.machine import O_BR, OUT_OK, ExecImage, Machine, MemLayout
+
+MAX_STEPS = 3000
+
+
+def _state(m: Machine, ctx: SpecContext | None) -> tuple:
+    return (m.regs, m.fa, m.fb, m.pc, m.sp, m.halted, m.entered_block,
+            m.fault, m.alloc.recs,
+            None if ctx is None else (ctx.records, ctx.branches, ctx.wlog))
+
+
+def lockstep(image: ExecImage, data: bytes, speculative: bool, seed: int = 0,
+             layout: MemLayout | None = None) -> int:
+    """Step both machines to HALT, a fault or MAX_STEPS, comparing after
+    every step; returns the number of steps taken.  With speculative set,
+    each BR is forced down its inverted outcome with probability 1/2."""
+    fast, ref = Machine(image, data, layout), Machine(image, data, layout)
+    fast_ctx = SpecContext(input_id="x") if speculative else None
+    ref_ctx = SpecContext(input_id="x") if speculative else None
+    rng = random.Random(seed)
+    for step in range(MAX_STEPS):
+        pc = ref.pc
+        op, cc, taken, fall, _ = image.code[pc]
+        if speculative and op == O_BR and rng.random() < 0.5:
+            holds = _cc_eval(cc, ref.fa, ref.fb)
+            assert fast.branch_outcome(pc) == (holds, taken, fall), pc
+            target = fall if holds else taken
+            iid = image.iid_str[pc]
+            fast_ctx.branches.append(iid)
+            ref_ctx.branches.append(iid)
+            assert fast.force_branch(pc, invert=True) == target
+            ref.pc, ref.entered_block = image.blocks[target][0], target
+            assert _state(fast, fast_ctx) == _state(ref, ref_ctx), (step, pc)
+            continue
+        out = fast.step(fast_ctx)
+        want = reference_step(ref, ref_ctx)
+        assert out == want, (step, pc)
+        assert _state(fast, fast_ctx) == _state(ref, ref_ctx), (step, pc)
+        if out != OUT_OK:
+            assert fast.pc == pc, (step, pc)
+            break
+    assert fast.canonical_memory() == ref.canonical_memory()
+    return step + 1
+
+
+# Faults and slow paths that neither the victims nor the random programs
+# reach: (source, layout).
+CORNERS = [
+    ("fn main:\ne:\n  ret\n", None),
+    ("fn main:\ne:\n  call f\n  halt\n"
+     "fn f:\ne:\n  const r0, 0x2fff8\n  const r1, 12345\n  store r1, r0, 0\n  ret\n", None),
+    ("fn main:\ne:\n  call main\n  halt\n", MemLayout(stack_lo=0x2_0000, stack_hi=0x2_0040)),
+    ("fn main:\ne:\n  alloc r1, 0x8000000\n  halt\n", None),
+    ("fn main:\ne:\n  const r2, 0x8000000\n  alloc r1, r2\n  halt\n", None),
+    ("fn main:\ne:\n  div r1, r2, 0\n  halt\n", None),
+    ("fn main:\ne:\n  const r1, 5\n  jtab r1, a, b\na:\n  halt\nb:\n  halt\n", None),
+    # Shift amounts of 64 and more, in register and immediate form.
+    ("fn main:\ne:\n  const r1, 0xF0F0F0F0F0F0F0F1\n  const r2, 65\n"
+     "  shl r3, r1, r2\n  shr r4, r1, r2\n  shl r5, r1, 127\n  shr r6, r1, 127\n"
+     "  halt\n", None),
+    # Redzone bytes written under speculation read back as zeros, also from
+    # a load that straddles the end of the allocation.
+    ("fn main:\ne:\n  alloc r1, 24\n  const r2, 0xFFFFFFFFFFFFFFFF\n"
+     "  store r2, r1, 24\n  store r2, r1, 16\n  load r3, r1, 20\n  load r4, r1, 24\n"
+     "  halt\n", None),
+    # An 8-byte store and load across a page boundary inside the stack.
+    ("fn main:\ne:\n  const r1, 0x20ffc\n  const r2, 0x1122334455667788\n"
+     "  store r2, r1, 0\n  load r3, r1, 0\n  halt\n", None),
+]
+
+
+@pytest.mark.parametrize("speculative", [False, True], ids=["arch", "spec"])
+@pytest.mark.parametrize("src,layout", CORNERS)
+def test_corner_cases_step_alike(src, layout, speculative):
+    lockstep(ExecImage(parse_program(src)), b"", speculative, layout=layout)
+
+
+def _gadget_images():
+    """Each built-in victim and its fence and slh outputs, which add FENCE
+    and the mask arithmetic, with the victim's trigger and safe inputs."""
+    for gid in gadget_ids():
+        g = builtin_gadget(gid)
+        for program in (g.program, fence_pass(g.program).program,
+                        slh_pass(g.program).program):
+            yield ExecImage(program), (g.trigger, g.safe)
+
+
+@pytest.mark.parametrize("speculative", [False, True], ids=["arch", "spec"])
+def test_gadgets_and_hardened_gadgets_step_alike(speculative):
+    steps = 0
+    for image, inputs in _gadget_images():
+        for data in inputs:
+            for seed in range(4 if speculative else 1):
+                steps += lockstep(image, data, speculative, seed)
+    assert steps > 1000
+
+
+@pytest.mark.parametrize("loops,recursion", [(False, False), (True, False),
+                                             (False, True), (True, True)])
+@pytest.mark.parametrize("speculative", [False, True], ids=["arch", "spec"])
+def test_random_programs_step_alike(loops, recursion, speculative):
+    for seed in range(60):
+        image = ExecImage(random_program(seed, loops, recursion))
+        lockstep(image, random_input(seed), speculative, seed)
