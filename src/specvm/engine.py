@@ -24,6 +24,19 @@ paths do not consume each other's budget, and the parent's locals are all
 the accounting a rollback must return to.  Checkpoints therefore hold only
 the machine state and the write-log length.
 
+An engine does not start each run from a fresh Machine.  When it is built
+it runs its program once, with no input, up to the first instruction that
+could depend on the input or open a tree: before the first BR (a tree's
+records carry the input id, and its order depends on BranchStats even with
+simulation off), INPUT or INPUTLEN (the only readers of the input), or the
+step limit.  A HALT or a fault in that prefix ends it before the
+instruction, which handlers leave in place, so every run executes it
+itself.  Every run then starts from a fork of the resulting machine, with
+the prefix's step count and edges.  This is sound because no instruction
+in the prefix reads the input, opens a tree or consults the statistics:
+each run would have computed exactly that state first, architecturally,
+and the fork gives each run its own copy of everything it can change.
+
 How deep a tree may nest is rationed out by ``allowed_order``: the n-th
 distinct input to reach a branch may nest up to 1 + max{j : n mod base^j
 == 0} levels, so every input gets single-level simulation and ever rarer
@@ -41,9 +54,12 @@ from .machine import (
     O_BR,
     O_CALL,
     O_FENCE,
+    O_INPUT,
+    O_INPUTLEN,
     O_RET,
     OUT_FAULT,
     OUT_HALT,
+    OUT_OK,
     ExecImage,
     Fault,
     F_STEP,
@@ -173,7 +189,14 @@ class RunTrace:
 
 
 class ExposureEngine:
-    """Drives one Machine with simulation trees at conditional branches."""
+    """Drives one Machine with simulation trees at conditional branches.
+
+    The start state of every run is computed once, here: ``start`` is the
+    machine after the program's input-independent prefix (see the module
+    docstring), ``start_steps`` the instructions that prefix executed,
+    ``start_edges`` the edges it took and ``start_block`` the block it ended
+    in.  ``run`` forks ``start`` for its input and continues from there.
+    """
 
     def __init__(self, program: Program | ExecImage,
                  config: SpecConfig | None = None,
@@ -181,6 +204,7 @@ class ExposureEngine:
         self.image = program if isinstance(program, ExecImage) else ExecImage(program)
         self.cfg = config or SpecConfig()
         self.layout = layout
+        self._run_prefix()
         # Per-run state, reset in run()
         self.m: Machine | None = None
         self.ctx: SpecContext | None = None
@@ -293,21 +317,55 @@ class ExposureEngine:
 
     # -- the exposed run ------------------------------------------------------
 
+    def _run_prefix(self) -> None:
+        """Run the program from a fresh Machine with no input up to the
+        first BR, INPUT or INPUTLEN, HALT, fault or the step limit, and keep
+        the result as the start state of every run."""
+        image = self.image
+        code = image.code
+        handlers = image.handlers
+        m = Machine(image, b"", self.layout)
+        edges: set[tuple[int, int]] = set()
+        cur_block = image.entry_block
+        steps = 0
+        while steps < self.cfg.max_steps:
+            pc = m.pc
+            op = code[pc][0]
+            if op == O_BR or op == O_INPUT or op == O_INPUTLEN:
+                break
+            if handlers[pc](m, None) != OUT_OK:
+                # HALT and faults leave pc and the rest of the state in
+                # place, so each run executes this instruction again.
+                m.halted = False
+                m.fault = None
+                m.entered_block = -1
+                break
+            steps += 1
+            if m.entered_block >= 0:
+                edges.add((cur_block, m.entered_block))
+                cur_block = m.entered_block
+            elif op == O_RET:
+                cur_block = image.block_of[m.pc]
+        self.start = m
+        self.start_steps = steps
+        self.start_edges = frozenset(edges)
+        self.start_block = cur_block
+
     def run(self, input_bytes: bytes, stats: BranchStats | None = None,
             input_id: str | None = None, run_serial: int = 0) -> RunTrace:
         cfg = self.cfg
         image = self.image
-        m = self.m = Machine(image, input_bytes, self.layout)
+        m = self.m = self.start.fork(input_bytes)
         ctx = self.ctx = SpecContext(input_id=input_id, run_serial=run_serial)
         self.checkpoints = []
         self.spec_steps = 0
         self.retired = {}
         order_of: dict[str, int] = {}
-        edges: set[tuple[int, int]] = set()
+        edges = set(self.start_edges)
         code = image.code
         handlers = image.handlers
-        cur_block = image.entry_block
-        steps = 0
+        cur_block = self.start_block
+        steps = self.start_steps
         fault: Fault | None = None
         while steps < cfg.max_steps:
             pc = m.pc

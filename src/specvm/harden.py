@@ -269,14 +269,16 @@ def verify_hardening(original: Program, result: HardenResult,
     mismatches = []
     residual: set = set()
     stats = engine.full_order_stats(result.program, cfg)
+    original_image = machine.ExecImage(original)
+    hardened_image = machine.ExecImage(result.program)
     for inp in inputs:
-        ra = machine.run_architectural(original, inp, max_steps=cfg.max_steps)
-        rh = machine.run_architectural(result.program, inp, max_steps=cfg.max_steps)
+        ra = machine.run_architectural(original_image, inp, max_steps=cfg.max_steps)
+        rh = machine.run_architectural(hardened_image, inp, max_steps=cfg.max_steps)
         fa = ra.state_fingerprint(skip_regs=(MASK_REG, SCRATCH_REG), skip_stack=True)
         fh = rh.state_fingerprint(skip_regs=(MASK_REG, SCRATCH_REG), skip_stack=True)
         if fa != fh or (ra.fault is None) != (rh.fault is None):
             mismatches.append(inp)
-        trace = engine.run_with_exposure(result.program, inp, cfg, stats)
+        trace = engine.run_with_exposure(hardened_image, inp, cfg, stats)
         for rec in trace.records:
             residual.add((rec.offending, rec.kind, rec.identity(cfg.identity)))
     return {

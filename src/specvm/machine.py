@@ -32,6 +32,11 @@ that instruction's operands, and ``Machine.step`` only calls
   redzone bytes as zeros), any other fault to ``ctx.on_speculative_fault``,
   and every memory write is logged to ``ctx.wlog``.
 
+``Machine.fork(input)`` is the one way to copy a machine: a new machine
+with the given input and its own registers, flags, pc, sp, memory pages and
+allocation table, not halted and with no fault.  The exposure engine forks
+every run from the state its program reaches before input first matters.
+
 The plain reference stepper that the handlers are tested against lives
 with the tests.
 """
@@ -698,7 +703,12 @@ def _make_handler(image: ExecImage, pc: int):
 
 
 class Machine:
-    """One VM instance: registers, flags, memory pages, allocator, stack."""
+    """One VM instance: registers, flags, memory pages, allocator, stack.
+
+    ``fork`` copies a machine for a new input.  The copy shares only what
+    never changes during a run (the image and the layout); registers,
+    flags, pc, sp, every page and the allocation table are its own.
+    """
 
     __slots__ = (
         "image", "layout", "input", "regs", "fa", "fb", "pc", "sp",
@@ -721,6 +731,31 @@ class Machine:
         self.entered_block = -1
         if image.program.data:
             self._blit(self.layout.static_base, image.program.data)
+
+    def fork(self, input_bytes: bytes) -> "Machine":
+        """A machine in this one's state that reads input_bytes, with
+        independent copies of everything a run can change, not halted, with
+        no fault and no block just entered."""
+        m = Machine.__new__(Machine)
+        m.image = self.image
+        m.layout = self.layout
+        m.input = input_bytes
+        m.regs = self.regs[:]
+        m.fa = self.fa
+        m.fb = self.fb
+        m.pc = self.pc
+        m.sp = self.sp
+        m.halted = False
+        m.pages = {no: bytearray(page) for no, page in self.pages.items()}
+        src = self.alloc
+        alloc = m.alloc = AllocationTable.__new__(AllocationTable)
+        alloc.layout = src.layout
+        alloc.bump = src.bump
+        alloc.recs = src.recs[:]
+        alloc.bases = src.bases[:]
+        m.fault = None
+        m.entered_block = -1
+        return m
 
     # -- raw memory -------------------------------------------------------
 

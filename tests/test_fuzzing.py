@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specvm.artifacts import read_json, read_lines
-from specvm.engine import SpecConfig
+from specvm.engine import ExposureEngine, SpecConfig
 from specvm.fuzzing import (
     DEFAULT_SEEDS,
     KEEP_EDGE,
@@ -179,3 +179,23 @@ def test_multi_worker_session_completes_with_merged_state():
     res = fuzz_loop(g.program, small_cfg(runs=200, workers=4))
     assert res.attempts == 200 + len(DEFAULT_SEEDS)
     assert res.keys and res.edges
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_corpus_bytes_follow_the_corpus(workers):
+    fuzzer = Fuzzer(builtin_gadget(1).program, small_cfg(runs=200, workers=workers))
+    res = fuzzer.run_session()
+    assert fuzzer.corpus_bytes == [d for _, d, _ in res.corpus]
+
+
+@pytest.mark.parametrize("workers,engines", [(1, 1), (3, 4)])
+def test_single_worker_session_runs_the_prefix_once(workers, engines, monkeypatch):
+    built = []
+    init = ExposureEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ExposureEngine, "__init__", counting_init)
+    fuzz_loop(builtin_gadget(1).program, small_cfg(runs=30, workers=workers))
+    assert len(built) == engines

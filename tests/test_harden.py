@@ -14,6 +14,7 @@ from specvm.harden import (
     verify_hardening,
 )
 from specvm.isa import InstructionId, Op, parse_program
+from specvm.machine import ExecImage
 
 
 @pytest.mark.parametrize("gid", gadget_ids())
@@ -142,3 +143,20 @@ def test_fence_and_slh_also_stop_the_engine_finding_leaks():
             trace = run_with_exposure(result.program, g.trigger, cfg,
                                       full_order_stats(result.program, cfg))
             assert trace.records == [], (gid, harden.__name__)
+
+
+@pytest.mark.parametrize("n_inputs", [2, 4])
+def test_verify_hardening_decodes_each_program_once(n_inputs, monkeypatch):
+    built = []
+    init = ExecImage.__init__
+
+    def counting_init(self, program):
+        built.append(program)
+        init(self, program)
+    monkeypatch.setattr(ExecImage, "__init__", counting_init)
+    g = builtin_gadget(1)
+    result = slh_pass(g.program)
+    inputs = [g.trigger, g.safe, b"", b"\x05\x01"][:n_inputs]
+    report = verify_hardening(g.program, result, inputs)
+    assert report["preserved"]
+    assert built == [g.program, result.program]

@@ -1,0 +1,301 @@
+"""Exposed runs from the engine's prefix snapshot against the reference run.
+
+An ExposureEngine runs its program's input-independent prefix once and
+forks every run from the machine it leaves (see the engine module
+docstring).  Here one long-lived engine runs a sequence of inputs, and
+every RunTrace must equal what refrun.reference_run, which starts each run
+from a fresh Machine, produces for the same input and branch statistics.
+The start state itself is checked against a fresh machine stepped by the
+reference stepper, and Machine.fork against the machine it copies.
+"""
+
+import random
+
+import pytest
+
+from genprog import random_input, random_program
+from refrun import reference_run
+from refstep import reference_step
+from specvm.engine import BranchStats, ExposureEngine, SpecConfig
+from specvm.gadgets import builtin_gadget, gadget_ids
+from specvm.harden import fence_pass, slh_pass
+from specvm.isa import parse_program
+from specvm.machine import (
+    O_BR,
+    O_INPUT,
+    O_INPUTLEN,
+    O_RET,
+    OUT_OK,
+    ExecImage,
+    Machine,
+    MemLayout,
+)
+
+
+def _trace_fields(t) -> tuple:
+    r = t.result
+    return (r.state_fingerprint(), r.fault, r.steps, r.pc, t.records, t.edges,
+            t.max_order, t.arch_steps, t.spec_steps, t.retired)
+
+
+def check_runs(program, inputs, config=None, layout=None) -> None:
+    """Run inputs in order through one engine and through the reference,
+    each side with its own BranchStats fed the same history, and compare
+    every trace."""
+    image = ExecImage(program)
+    engine = ExposureEngine(image, config, layout)
+    ref = ExposureEngine(image, config, layout)
+    stats, ref_stats = BranchStats(), BranchStats()
+    for serial, data in enumerate(inputs):
+        iid = f"in{serial}"
+        got = engine.run(data, stats, input_id=iid, run_serial=serial)
+        want = reference_run(ref, data, ref_stats, input_id=iid, run_serial=serial)
+        assert _trace_fields(got) == _trace_fields(want), (serial, data)
+    assert stats.to_dict() == ref_stats.to_dict()
+
+
+def heap_walk_source(allocs: int = 40, steps: int = 4, size: int = 24) -> str:
+    """A straight-line set-up of allocs allocations, stored into a pointer
+    table, then a guarded walk over them steered by three input bytes."""
+    lines = ["fn main:", "entry:", f"  alloc r1, {8 * allocs}"]
+    for k in range(allocs):
+        lines += [f"  alloc r2, {size}", f"  store r2, r1, {8 * k}"]
+    lines += [
+        "  input r3, 0", "  input r4, 1", "  or r4, r4, 1", "  input r6, 2",
+        "  and r6, r6, 31", "  const r7, 0", "  const r15, 0", "  jmp head",
+        "head:", f"  cmp r7, {steps}", "  br lt, body, out",
+        "body:", "  mul r8, r7, r4", "  add r8, r8, r3", f"  div r9, r8, {allocs}",
+        f"  mul r9, r9, {allocs}", "  sub r8, r8, r9", "  shl r9, r8, 3",
+        "  add r9, r1, r9", "  load r10, r9, 0", "  load r11, r10, 0",
+        "  add r15, r15, r11", f"  cmp r6, {size - 8}", "  br le, ok, skip",
+        "ok:", "  add r13, r10, r6", "  load r14, r13, 0", "  add r15, r15, r14",
+        "  jmp skip",
+        "skip:", "  add r7, r7, 1", "  jmp head",
+        "out:", "  halt",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# The prefix allocates and writes a heap page and holds static data; odd
+# first bytes then overwrite both and allocate after the prefix's
+# allocations, and even ones read the prefix's word back and allocate too.
+# A run that leaks a write, or an allocation, into the snapshot changes what
+# the runs after it see.
+PREFIX_STATE = """data "abcdefgh"
+fn main:
+e:
+  alloc r1, 24
+  const r2, 0x1111
+  store r2, r1, 0
+  store r2, r1, 8
+  alloc r3, 40
+  store r1, r3, 0
+  input r4, 0
+  and r5, r4, 1
+  cmp r5, 0
+  br eq, even, odd
+odd:
+  store r4, r1, 8
+  const r6, 0x10000
+  store r4, r6, 0
+  alloc r7, 16
+  store r4, r7, 0
+  load r8, r7, 0
+  jmp out
+even:
+  load r8, r1, 8
+  const r6, 0x10000
+  load r9, r6, 0
+  alloc r7, 32
+  store r8, r7, 8
+  cmp r8, 0x1111
+  br eq, out, bad
+bad:
+  load r9, r1, 40
+  halt
+out:
+  load r9, r3, 0
+  halt
+"""
+
+# (name, source, config, layout): programs whose prefix ends in each way
+# it can end, and at each kind of control transfer.
+CORNERS = [
+    ("halt", "fn main:\ne:\n  alloc r1, 16\n  const r2, 7\n  store r2, r1, 0\n"
+     "  halt\n", None, None),
+    ("oob-store", "fn main:\ne:\n  alloc r1, 16\n  const r2, 7\n"
+     "  store r2, r1, 64\n  halt\n", None, None),
+    ("bad-ret", "fn main:\ne:\n  const r1, 3\n  ret\n", None, None),
+    ("div-zero", "fn main:\ne:\n  const r1, 9\n  const r2, 0\n  div r3, r1, r2\n"
+     "  halt\n", None, None),
+    ("div-zero-imm", "fn main:\ne:\n  const r1, 9\n  div r3, r1, 0\n  halt\n",
+     None, None),
+    ("heap-exhausted", "fn main:\ne:\n  alloc r1, 16\n  alloc r2, 0x8000000\n"
+     "  halt\n", None, None),
+    ("stack-overflow", "fn main:\ne:\n  const r1, 1\n  call main\n  halt\n",
+     None, MemLayout(stack_lo=0x2_0000, stack_hi=0x2_0040)),
+    ("max-steps-loop", "fn main:\ne:\n  add r1, r1, 1\n  jmp e\n",
+     SpecConfig(max_steps=50), None),
+    ("max-steps-straight", "fn main:\ne:\n  const r1, 1\n  const r2, 2\n"
+     "  const r3, 3\n  input r4, 0\n  cmp r4, 1\n  br eq, a, b\n"
+     "a:\n  halt\nb:\n  halt\n", SpecConfig(max_steps=2), None),
+    ("max-steps-at-input", "fn main:\ne:\n  const r1, 1\n  const r2, 2\n"
+     "  input r4, 0\n  cmp r4, 1\n  br eq, a, b\na:\n  halt\nb:\n  halt\n",
+     SpecConfig(max_steps=2), None),
+    ("call-ret", "fn main:\ne:\n  call f\n  input r1, 0\n  cmp r1, 3\n"
+     "  br lt, a, b\na:\n  load r2, r9, 0\n  halt\nb:\n  halt\n"
+     "fn f:\ne:\n  alloc r9, 16\n  const r2, 5\n  store r2, r9, 8\n  ret\n",
+     None, None),
+    ("jmp", "fn main:\ne:\n  const r1, 1\n  jmp n\nn:\n  alloc r2, 8\n  jmp m\n"
+     "m:\n  inputlen r3\n  cmp r3, 2\n  br gt, a, b\na:\n  load r4, r2, 16\n"
+     "  halt\nb:\n  halt\n", None, None),
+    ("inputlen-first", "fn main:\ne:\n  inputlen r1\n  const r2, 0\n"
+     "  cmp r1, 2\n  br ge, a, b\na:\n  load r3, r2, 0x2000\n  halt\nb:\n  halt\n",
+     None, None),
+    ("prefix-state", PREFIX_STATE, None, None),
+    ("heap-walk", heap_walk_source(), None, None),
+]
+
+CORNER_INPUTS = [b"\x01", b"\x02", b"\x03", b"", b"\x05\x06\x07", b"\x04\x00",
+                 b"\x09\x01\x11", b"\x0b"]
+
+
+@pytest.mark.parametrize("name,src,config,layout", CORNERS,
+                         ids=[c[0] for c in CORNERS])
+def test_corner_programs_run_alike(name, src, config, layout):
+    check_runs(parse_program(src), CORNER_INPUTS, config, layout)
+
+
+def test_corner_prefixes_end_where_expected():
+    """Each corner's prefix stops where its name says, so the cases above
+    cover every way a prefix ends."""
+    starts = {name: ExposureEngine(parse_program(src), config, layout)
+              for name, src, config, layout in CORNERS}
+    assert starts["halt"].start_steps == 3
+    assert starts["oob-store"].start_steps == 2
+    assert starts["bad-ret"].start_steps == 1
+    assert starts["div-zero"].start_steps == 2
+    assert starts["div-zero-imm"].start_steps == 1
+    assert starts["heap-exhausted"].start_steps == 1
+    assert starts["stack-overflow"].start_steps > 8
+    assert starts["max-steps-loop"].start_steps == 50
+    assert starts["max-steps-straight"].start_steps == 2
+    assert starts["max-steps-at-input"].start_steps == 2
+    assert starts["call-ret"].start_steps == 5
+    assert starts["jmp"].start_steps == 4
+    assert len(starts["jmp"].start_edges) == 2
+    assert starts["inputlen-first"].start_steps == 0
+    assert starts["prefix-state"].start_steps == 6
+    assert starts["heap-walk"].start_steps == 81
+    for eng in starts.values():
+        assert not eng.start.halted and eng.start.fault is None
+
+
+def _gadget_programs():
+    for gid in gadget_ids():
+        g = builtin_gadget(gid)
+        for program in (g.program, fence_pass(g.program).program,
+                        slh_pass(g.program).program):
+            yield gid, program, (g.trigger, g.safe)
+
+
+def test_gadgets_and_hardened_gadgets_run_alike():
+    for gid, program, (trigger, safe) in _gadget_programs():
+        rng = random.Random(gid)
+        extra = [bytes(rng.randrange(256) for _ in range(rng.randrange(8)))
+                 for _ in range(5)]
+        inputs = [trigger, safe, b""] + extra + [trigger]
+        check_runs(program, inputs)
+        check_runs(program, [trigger, safe], SpecConfig(simulate=False))
+        check_runs(program, [trigger, safe], SpecConfig(max_order=2))
+
+
+@pytest.mark.parametrize("loops,recursion", [(False, False), (True, False),
+                                             (False, True), (True, True)])
+def test_random_programs_run_alike(loops, recursion):
+    for seed in range(40):
+        inputs = [random_input(seed + k) for k in range(6)]
+        check_runs(random_program(seed, loops, recursion), inputs)
+
+
+def _reference_start(engine) -> tuple:
+    """Step a fresh machine with the reference stepper for the engine's
+    prefix length, tracking edges as the run loop does; returns the machine,
+    its edges and its block."""
+    image = engine.image
+    m = Machine(image, b"", engine.layout)
+    edges = set()
+    block = image.entry_block
+    for _ in range(engine.start_steps):
+        op = image.code[m.pc][0]
+        assert op not in (O_BR, O_INPUT, O_INPUTLEN)
+        assert reference_step(m, None) == OUT_OK
+        if m.entered_block >= 0:
+            edges.add((block, m.entered_block))
+            block = m.entered_block
+        elif op == O_RET:
+            block = image.block_of[m.pc]
+    return m, edges, block
+
+
+def _machine_state(m: Machine) -> tuple:
+    return (m.regs, m.fa, m.fb, m.pc, m.sp, m.halted, m.fault, m.input,
+            m.canonical_memory(), m.alloc.bump, m.alloc.recs, m.alloc.bases)
+
+
+def _start_state_programs():
+    for name, src, config, layout in CORNERS:
+        yield parse_program(src), config, layout
+    for _, program, _ in _gadget_programs():
+        yield program, None, None
+    for seed in range(20):
+        yield random_program(seed, True, True), None, None
+
+
+def test_start_state_is_the_state_after_the_prefix():
+    """The snapshot is a fresh machine after start_steps reference steps,
+    none of them a BR or an input read, and the prefix is as long as it may
+    be: the next instruction reads the input, branches, halts or faults, or
+    the step limit is reached."""
+    for program, config, layout in _start_state_programs():
+        engine = ExposureEngine(program, config, layout)
+        m, edges, block = _reference_start(engine)
+        assert _machine_state(engine.start) == _machine_state(m)
+        assert engine.start_edges == edges
+        assert engine.start_block == block
+        if engine.start_steps < engine.cfg.max_steps:
+            op = engine.image.code[m.pc][0]
+            assert (op in (O_BR, O_INPUT, O_INPUTLEN)
+                    or reference_step(m, None) != OUT_OK)
+
+
+def test_fork_copies_everything_a_run_changes():
+    program = parse_program(PREFIX_STATE)
+    image = ExecImage(program)
+    m = Machine(image, b"", MemLayout(redzone=32))
+    for _ in range(6):
+        m.step()
+    m.halted = True
+    m.entered_block = 3
+    before = _machine_state(m)
+
+    f = m.fork(b"\x07")
+    assert f.image is image and f.layout is m.layout
+    assert f.input == b"\x07"
+    assert not f.halted and f.fault is None and f.entered_block == -1
+    assert (f.regs, f.fa, f.fb, f.pc, f.sp) == (m.regs, m.fa, m.fb, m.pc, m.sp)
+    assert f.canonical_memory() == m.canonical_memory()
+    assert (f.alloc.bump, f.alloc.recs, f.alloc.bases) == \
+        (m.alloc.bump, m.alloc.recs, m.alloc.bases)
+    assert f.alloc.layout is m.alloc.layout
+
+    f.regs[1] = 99
+    f.fa = f.fb = 5
+    f.pc += 1
+    f.sp -= 8
+    for page in f.pages.values():
+        page[0] ^= 0xFF
+    f.raw_write8(0x5000, 1, None)
+    f.alloc.alloc(64)
+    f.alloc.restore((f.alloc.bump, 1))
+    assert _machine_state(m) == before
