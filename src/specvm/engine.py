@@ -21,8 +21,21 @@ block, the prepaid budget and the stack of accounting suspended by calls
 are its locals.  A tree opens with the counter at zero; a nested path
 starts from its parent's counter and a copy of its call stack, so sibling
 paths do not consume each other's budget, and the parent's locals are all
-the accounting a rollback must return to.  Checkpoints therefore hold only
-the machine state and the write-log length.
+the accounting a rollback must return to.  A checkpoint therefore holds
+only a copy of the registers, the flags, pc, sp, the allocator's bump
+pointer and allocation count, and the write-log length.  It saves no halt
+flag or fault, because a path opens at a branch, where the machine has
+neither, and rollback clears both.  Rollback makes the saved copy the
+registers, rewinds memory through the write log, and truncates the
+allocation table only when the path allocated.
+
+A path opens with one lookup in the image's branch table (``ExecImage.br``)
+and its loop dispatches on the instruction kind (``ExecImage.kinds``): a
+plain instruction is one handler call and one test of its outcome, FENCE
+retires the path before the window is charged, and only the control kinds
+read ``entered_block`` and move the block and call accounting.  The run
+loop dispatches the same way.  What every path reads of the image and the
+configuration is bound once per engine, in one tuple.
 
 An engine does not start each run from a fresh Machine.  When it is built
 it runs its program once, with no input, up to the first instruction that
@@ -51,12 +64,13 @@ from dataclasses import dataclass, field
 from .detect import SpecContext, ViolationRecord, dedup_key
 from .isa import Program
 from .machine import (
-    O_BR,
-    O_CALL,
-    O_FENCE,
+    DEFAULT_MAX_STEPS,
+    K_BR,
+    K_CALL,
+    K_FENCE,
+    K_RET,
     O_INPUT,
     O_INPUTLEN,
-    O_RET,
     OUT_FAULT,
     OUT_HALT,
     OUT_OK,
@@ -79,6 +93,8 @@ RETIRE_HALT = "halt"
 RETIRE_FAULT = "fault"
 RETIRE_WINDOW = "window"
 
+_READS_INPUT = (O_INPUT, O_INPUTLEN)
+
 
 class EngineError(RuntimeError):
     """Internal consistency failure of the exposure engine."""
@@ -93,7 +109,7 @@ class SpecConfig:
     max_order: int = DEFAULT_MAX_ORDER
     order_base: int = DEFAULT_ORDER_BASE
     simulate: bool = True
-    max_steps: int = 100_000
+    max_steps: int = DEFAULT_MAX_STEPS
     identity: str = "offset"
 
     def __post_init__(self):
@@ -204,6 +220,10 @@ class ExposureEngine:
         self.image = program if isinstance(program, ExecImage) else ExecImage(program)
         self.cfg = config or SpecConfig()
         self.layout = layout
+        # What every speculative path reads, bound once for all of them.
+        image = self.image
+        self._tree = (image.handlers, image.kinds, image.br, image.block_lens,
+                      image.iid_str, self.cfg.window, self.cfg.stride)
         self._run_prefix()
         # Per-run state, reset in run()
         self.m: Machine | None = None
@@ -215,31 +235,47 @@ class ExposureEngine:
     # -- checkpointing -------------------------------------------------------
 
     def push_checkpoint(self, branch_iid: str) -> None:
-        if len(self.checkpoints) > self.cfg.max_order:
+        checkpoints = self.checkpoints
+        if len(checkpoints) > self.cfg.max_order:
             raise EngineError("checkpoint-overflow")
         m = self.m
-        self.checkpoints.append((
-            m.regs[:], m.fa, m.fb, m.pc, m.sp, m.halted,
-            m.alloc.snapshot(), len(self.ctx.wlog),
+        alloc = m.alloc
+        ctx = self.ctx
+        checkpoints.append((
+            m.regs[:], m.fa, m.fb, m.pc, m.sp,
+            alloc.bump, len(alloc.recs), len(ctx.wlog),
         ))
-        self.ctx.branches.append(branch_iid)
+        ctx.branches.append(branch_iid)
 
     def rollback(self) -> None:
         if not self.checkpoints:
             raise EngineError("internal-log-underflow")
-        regs, fa, fb, pc, sp, halted, asnap, nlog = self.checkpoints.pop()
+        regs, fa, fb, pc, sp, bump, n_alloc, n_log = self.checkpoints.pop()
         m = self.m
-        wlog = self.ctx.wlog
-        if len(wlog) < nlog:
-            raise EngineError("internal-log-underflow")
-        while len(wlog) > nlog:
-            addr, old = wlog.pop()
-            m.undo_write(addr, old)
-        m.regs[:] = regs
-        m.fa, m.fb, m.pc, m.sp, m.halted = fa, fb, pc, sp, halted
+        ctx = self.ctx
+        wlog = ctx.wlog
+        if len(wlog) != n_log:
+            if len(wlog) < n_log:
+                raise EngineError("internal-log-underflow")
+            undo = m.undo_write
+            while len(wlog) > n_log:
+                addr, old = wlog.pop()
+                undo(addr, old)
+        # The saved copy becomes the registers: the path's list is dropped.
+        m.regs = regs
+        m.fa = fa
+        m.fb = fb
+        m.pc = pc
+        m.sp = sp
+        m.halted = False
         m.fault = None
-        m.alloc.restore(asnap)
-        self.ctx.branches.pop()
+        alloc = m.alloc
+        if len(alloc.recs) != n_alloc:
+            # The bump pointer moves only with a new allocation.
+            alloc.bump = bump
+            del alloc.recs[n_alloc:]
+            del alloc.bases[n_alloc:]
+        ctx.branches.pop()
 
     # -- speculative execution ----------------------------------------------
 
@@ -259,26 +295,27 @@ class ExposureEngine:
         """
         m = self.m
         ctx = self.ctx
-        image = self.image
-        code = image.code
-        handlers = image.handlers
-        block_lens = image.block_lens
-        window = self.cfg.window
-        stride = self.cfg.stride
-        self.push_checkpoint(image.iid_str[pc])
-        remaining = block_lens[m.force_branch(pc, invert=True)]
+        handlers, kinds, br, block_lens, iid_str, window, stride = self._tree
+        self.push_checkpoint(iid_str[pc])
+        cond, t_pc, t_blk, f_pc, f_blk = br[pc]
+        if cond(m.fa, m.fb):
+            m.pc = f_pc
+            remaining = block_lens[f_blk]
+        else:
+            m.pc = t_pc
+            remaining = block_lens[t_blk]
         budget = 0
         steps = 0
         while True:
             pc = m.pc
-            op = code[pc][0]
-            if op == O_FENCE:
+            kind = kinds[pc]
+            if kind == K_FENCE:
                 reason = RETIRE_FENCE
                 break
             # Charge the window: a new chunk of the current block, at most
             # stride instructions, is admitted only while the counter is
             # below the window.
-            if budget == 0:
+            if not budget:
                 if counter >= window:
                     reason = RETIRE_WINDOW
                     break
@@ -290,29 +327,32 @@ class ExposureEngine:
                 counter += chunk
                 budget = chunk
             budget -= 1
-            if op == O_BR and depth < order:
+            steps += 1
+            if not kind:
+                out = handlers[pc](m, ctx)
+                if out:
+                    reason = RETIRE_HALT if out == OUT_HALT else RETIRE_FAULT
+                    break
+                continue
+            if kind == K_BR and depth < order:
                 self._spec_run(depth + 1, order, pc, counter, acct[:])
             out = handlers[pc](m, ctx)
-            steps += 1
-            if out == OUT_HALT:
-                reason = RETIRE_HALT
+            if out:
+                reason = RETIRE_HALT if out == OUT_HALT else RETIRE_FAULT
                 break
-            if out == OUT_FAULT:
-                reason = RETIRE_FAULT
-                break
-            entered = m.entered_block
-            if entered >= 0:
-                if op == O_CALL:
-                    acct.append((remaining, budget))
-                remaining = block_lens[entered]
-                budget = 0
-            elif op == O_RET:
+            if kind == K_RET:
                 if acct:
                     remaining, budget = acct.pop()
                 else:
                     remaining = budget = 0
+                continue
+            if kind == K_CALL:
+                acct.append((remaining, budget))
+            remaining = block_lens[m.entered_block]
+            budget = 0
         self.spec_steps += steps
-        self.retired[reason] = self.retired.get(reason, 0) + 1
+        retired = self.retired
+        retired[reason] = retired.get(reason, 0) + 1
         self.rollback()
 
     # -- the exposed run ------------------------------------------------------
@@ -323,6 +363,7 @@ class ExposureEngine:
         the result as the start state of every run."""
         image = self.image
         code = image.code
+        kinds = image.kinds
         handlers = image.handlers
         m = Machine(image, b"", self.layout)
         edges: set[tuple[int, int]] = set()
@@ -330,10 +371,10 @@ class ExposureEngine:
         steps = 0
         while steps < self.cfg.max_steps:
             pc = m.pc
-            op = code[pc][0]
-            if op == O_BR or op == O_INPUT or op == O_INPUTLEN:
+            kind = kinds[pc]
+            if kind == K_BR or code[pc][0] in _READS_INPUT:
                 break
-            if handlers[pc](m, None) != OUT_OK:
+            if handlers[pc](m, None):
                 # HALT and faults leave pc and the rest of the state in
                 # place, so each run executes this instruction again.
                 m.halted = False
@@ -341,10 +382,10 @@ class ExposureEngine:
                 m.entered_block = -1
                 break
             steps += 1
-            if m.entered_block >= 0:
+            if kind >= K_BR:
                 edges.add((cur_block, m.entered_block))
                 cur_block = m.entered_block
-            elif op == O_RET:
+            elif kind == K_RET:
                 cur_block = image.block_of[m.pc]
         self.start = m
         self.start_steps = steps
@@ -362,15 +403,24 @@ class ExposureEngine:
         self.retired = {}
         order_of: dict[str, int] = {}
         edges = set(self.start_edges)
-        code = image.code
+        kinds = image.kinds
         handlers = image.handlers
+        block_of = image.block_of
+        simulate = cfg.simulate
+        max_steps = cfg.max_steps
         cur_block = self.start_block
         steps = self.start_steps
         fault: Fault | None = None
-        while steps < cfg.max_steps:
+        while steps < max_steps:
             pc = m.pc
-            op = code[pc][0]
-            if op == O_BR and cfg.simulate:
+            kind = kinds[pc]
+            if kind <= K_FENCE:
+                out = handlers[pc](m, None)
+                steps += 1
+                if out:
+                    break
+                continue
+            if kind == K_BR and simulate:
                 iid = image.iid_str[pc]
                 order = order_of.get(iid)
                 if order is None:
@@ -383,18 +433,18 @@ class ExposureEngine:
                 self._spec_run(1, order, pc, 0, [])
             out = handlers[pc](m, None)
             steps += 1
-            if out == OUT_HALT:
+            if out:
                 break
-            if out == OUT_FAULT:
-                fault = m.fault
-                break
-            if m.entered_block >= 0:
+            if kind == K_RET:
+                cur_block = block_of[m.pc]
+            else:
                 edges.add((cur_block, m.entered_block))
                 cur_block = m.entered_block
-            elif op == O_RET:
-                cur_block = image.block_of[m.pc]
         else:
+            out = OUT_OK
             fault = Fault(F_STEP, image.iid_of[m.pc] if m.pc < len(image.code) else None)
+        if out == OUT_FAULT:
+            fault = m.fault
         return RunTrace(_result(m, steps, fault), ctx.records, edges, order_of,
                         steps, self.spec_steps, self.retired)
 

@@ -32,6 +32,13 @@ that instruction's operands, and ``Machine.step`` only calls
   redzone bytes as zeros), any other fault to ``ctx.on_speculative_fault``,
   and every memory write is logged to ``ctx.wlog``.
 
+ExecImage also classifies each instruction by kind (``kinds``) and keeps a
+branch table (``br``).  The stepping loops of the exposure engine dispatch
+on the kind and read ``entered_block`` only after the control kinds, BR,
+CALL and JMP/JTAB, that can set it; every handler still keeps the contract
+above, because Machine.step, the oracle and the reference tests read
+``entered_block`` after every step.
+
 ``Machine.fork(input)`` is the one way to copy a machine: a new machine
 with the given input and its own registers, flags, pc, sp, memory pages and
 allocation table, not halted and with no fault.  The exposure engine forks
@@ -82,7 +89,7 @@ OUT_HALT = 1
 OUT_FAULT = 2
 
 _PAGE = 4096
-_DEFAULT_MAX_STEPS = 100_000
+DEFAULT_MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -199,6 +206,22 @@ O_INPUT = int(Op.INPUT)
 O_INPUTLEN = int(Op.INPUTLEN)
 O_HALT = int(Op.HALT)
 
+# Instruction kinds, ExecImage.kinds[pc]: what the stepping loops must do
+# around a handler call.  A plain instruction needs nothing.  FENCE retires
+# a speculative path.  RET enters no block but resumes a caller's; BR, CALL
+# and JMP/JTAB enter the block named by ``entered_block`` when they complete,
+# and are the kinds at or above K_BR.
+K_PLAIN = 0
+K_FENCE = 1
+K_RET = 2
+K_BR = 3
+K_CALL = 4
+K_JUMP = 5
+
+KIND_OF_OP = {int(op): K_PLAIN for op in Op}
+KIND_OF_OP.update({O_FENCE: K_FENCE, O_RET: K_RET, O_BR: K_BR, O_CALL: K_CALL,
+                   O_JMP: K_JUMP, O_JTAB: K_JUMP})
+
 # Internal operand flag values for the 5th decode slot
 IMM = 1
 REGOP = 0
@@ -222,11 +245,22 @@ class ExecImage:
     return word and id text bound in, so stepping is one indexed call with
     no dispatch on the opcode.  Machine.step is exactly that call; the
     contract each handler keeps is in the module docstring.
+
+    kinds[i] is the kind of code[i] (K_*, see KIND_OF_OP).  The stepping
+    loops dispatch on it: they read ``entered_block`` only after a control
+    kind, because after a plain instruction it is always -1.  Handlers
+    still keep the full contract, for Machine.step's other callers.
+
+    br[i] is (condition, taken pc, taken block, fall pc, fall block) when
+    code[i] is a BR and None otherwise; the condition is a function of the
+    flags (fa, fb).  It is the one source of branch semantics: the BR
+    handler, branch_outcome, force_branch and the exposure engine's path
+    opening all read it.
     """
 
     __slots__ = (
         "program", "code", "iid_of", "iid_str", "blocks", "block_of",
-        "block_starts", "block_lens", "handlers",
+        "block_starts", "block_lens", "kinds", "br", "handlers",
         "fn_entry", "entry_block", "n_blocks",
     )
 
@@ -267,6 +301,11 @@ class ExecImage:
                     self.code.append(self._decode(fn, ins, block_index))
         self.block_starts: list[int] = [blk[0] for blk in self.blocks]
         self.block_lens: list[int] = [blk[1] for blk in self.blocks]
+        starts = self.block_starts
+        self.kinds: list[int] = [KIND_OF_OP[ins[0]] for ins in self.code]
+        self.br: list[tuple | None] = [
+            (_CC[a], starts[b], b, starts[c], c) if op == O_BR else None
+            for op, a, b, c, _ in self.code]
         self.handlers: list = [_make_handler(self, pc) for pc in range(len(self.code))]
 
         self.entry_block = self.fn_entry[program.entry]
@@ -354,16 +393,15 @@ def _make_handler(image: ExecImage, pc: int):
     starts = image.block_starts
 
     if op == O_BR:
-        cond = _CC[a]
-        t_pc, f_pc = starts[b], starts[c]
+        cond, t_pc, t_blk, f_pc, f_blk = image.br[pc]
 
         def br(m, ctx):
             if cond(m.fa, m.fb):
                 m.pc = t_pc
-                m.entered_block = b
+                m.entered_block = t_blk
             else:
                 m.pc = f_pc
-                m.entered_block = c
+                m.entered_block = f_blk
             return OUT_OK
         return br
     if op == O_CONST:
@@ -907,18 +945,17 @@ class Machine:
 
     def branch_outcome(self, flat: int) -> tuple[bool, int, int]:
         """(condition holds, taken block, fall block) for the BR at flat."""
-        _, cc, tb, fb, _ = self.image.code[flat]
-        return _CC[cc](self.fa, self.fb), tb, fb
+        cond, _, tb, _, fb = self.image.br[flat]
+        return cond(self.fa, self.fb), tb, fb
 
     def force_branch(self, flat: int, invert: bool) -> int:
         """Move pc to the BR's outcome (or its inverse); returns target block."""
-        holds, tb, fb = self.branch_outcome(flat)
-        if invert:
-            holds = not holds
-        bi = tb if holds else fb
-        self.pc = self.image.block_starts[bi]
-        self.entered_block = bi
-        return bi
+        cond, t_pc, tb, f_pc, fb = self.image.br[flat]
+        if cond(self.fa, self.fb) != invert:
+            self.pc, self.entered_block = t_pc, tb
+            return tb
+        self.pc, self.entered_block = f_pc, fb
+        return fb
 
     # -- the step function --------------------------------------------------
 
@@ -983,7 +1020,7 @@ def _result(m: Machine, steps: int, fault: Fault | None) -> RunResult:
 def run_architectural(
     program: Program | ExecImage,
     input_bytes: bytes = b"",
-    max_steps: int = _DEFAULT_MAX_STEPS,
+    max_steps: int = DEFAULT_MAX_STEPS,
     layout: MemLayout | None = None,
 ) -> RunResult:
     """Run a program with plain architectural semantics to HALT, fault, or
@@ -1012,4 +1049,6 @@ __all__ = [
     "OUT_OK", "OUT_HALT", "OUT_FAULT",
     "MemLayout", "AccessClass", "Fault", "AllocationTable", "ExecImage",
     "Machine", "RunResult", "run_architectural", "RET_ENC_BASE",
+    "DEFAULT_MAX_STEPS", "K_PLAIN", "K_FENCE", "K_RET", "K_BR", "K_CALL",
+    "K_JUMP", "KIND_OF_OP",
 ]

@@ -1,7 +1,9 @@
 """Exhaustive ground truth for speculation exposure.
 
 This module deliberately shares almost nothing with engine.py: it reuses
-only the instruction set and the single-step interpreter.  Instead of
+only the instruction set and the single-step interpreter, and takes its
+default window and stride from the engine's constants so that both sides
+default alike.  Instead of
 checkpoints and rollback it enumerates forced-outcome scripts, one full
 re-execution from program start per script, and collects every violation
 each script surfaces.
@@ -22,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .detect import SpecContext, ViolationRecord
+from .engine import DEFAULT_STRIDE, DEFAULT_WINDOW
 from .isa import Program
 from .machine import (
+    DEFAULT_MAX_STEPS,
     O_BR,
     O_CALL,
     O_FENCE,
@@ -185,8 +189,9 @@ def _block_name(image: ExecImage, block: int) -> str:
 
 
 def enumerate_paths(program: Program | ExecImage, input_bytes: bytes = b"",
-                    max_order: int = 1, window: int = 250, stride: int = 50,
-                    max_steps: int = 100_000, identity: str = "offset",
+                    max_order: int = 1, window: int = DEFAULT_WINDOW,
+                    stride: int = DEFAULT_STRIDE,
+                    max_steps: int = DEFAULT_MAX_STEPS, identity: str = "offset",
                     script_limit: int = SCRIPT_LIMIT,
                     layout: MemLayout | None = None) -> OracleOutcome:
     """Enumerate every speculative path up to max_order nested inversions and

@@ -1,0 +1,128 @@
+"""Reference speculative paths: the plain path loop, checkpoint and path
+opening that the engine's kind-dispatched ones replace.
+
+``ReferenceEngine`` is an ExposureEngine whose ``_spec_run``,
+``push_checkpoint`` and ``rollback`` are the plain versions.  Its path loop
+dispatches on the opcode read from ``ExecImage.code`` on every step and
+reads ``entered_block`` after every instruction.  Its checkpoint saves the
+whole machine state, halt flag and allocation snapshot included, and
+rollback copies the registers back.  It opens a path through
+``force_branch`` below, which decodes the BR from ``ExecImage.code`` and
+evaluates its condition with refstep's, so it reads neither the branch
+table nor the kind table.  ``refrun.reference_run`` drives it from a fresh
+machine, so what it shares with ``ExposureEngine.run`` is the handlers,
+which tests/test_stepper.py checks against refstep, and the prefix-free
+run loop of refrun.
+
+tests/test_spec_paths.py compares every RunTrace field of the two.
+"""
+
+from refstep import _cc_eval
+from specvm.engine import (
+    RETIRE_FAULT,
+    RETIRE_FENCE,
+    RETIRE_HALT,
+    RETIRE_WINDOW,
+    EngineError,
+    ExposureEngine,
+)
+from specvm.machine import O_BR, O_CALL, O_FENCE, O_RET, OUT_FAULT, OUT_HALT
+
+
+def force_branch(m, flat: int, invert: bool) -> int:
+    """Move pc to the BR's outcome (or its inverse); returns target block."""
+    _, cc, tb, fb, _ = m.image.code[flat]
+    holds = _cc_eval(cc, m.fa, m.fb)
+    if invert:
+        holds = not holds
+    bi = tb if holds else fb
+    m.pc = m.image.blocks[bi][0]
+    m.entered_block = bi
+    return bi
+
+
+class ReferenceEngine(ExposureEngine):
+
+    def push_checkpoint(self, branch_iid: str) -> None:
+        if len(self.checkpoints) > self.cfg.max_order:
+            raise EngineError("checkpoint-overflow")
+        m = self.m
+        self.checkpoints.append((
+            m.regs[:], m.fa, m.fb, m.pc, m.sp, m.halted,
+            m.alloc.snapshot(), len(self.ctx.wlog),
+        ))
+        self.ctx.branches.append(branch_iid)
+
+    def rollback(self) -> None:
+        if not self.checkpoints:
+            raise EngineError("internal-log-underflow")
+        regs, fa, fb, pc, sp, halted, asnap, nlog = self.checkpoints.pop()
+        m = self.m
+        wlog = self.ctx.wlog
+        if len(wlog) < nlog:
+            raise EngineError("internal-log-underflow")
+        while len(wlog) > nlog:
+            addr, old = wlog.pop()
+            m.undo_write(addr, old)
+        m.regs[:] = regs
+        m.fa, m.fb, m.pc, m.sp, m.halted = fa, fb, pc, sp, halted
+        m.fault = None
+        m.alloc.restore(asnap)
+        self.ctx.branches.pop()
+
+    def _spec_run(self, depth: int, order: int, pc: int, counter: int,
+                  acct: list[tuple[int, int]]) -> None:
+        m = self.m
+        ctx = self.ctx
+        image = self.image
+        code = image.code
+        handlers = image.handlers
+        block_lens = image.block_lens
+        window = self.cfg.window
+        stride = self.cfg.stride
+        self.push_checkpoint(image.iid_str[pc])
+        remaining = block_lens[force_branch(m, pc, invert=True)]
+        budget = 0
+        steps = 0
+        while True:
+            pc = m.pc
+            op = code[pc][0]
+            if op == O_FENCE:
+                reason = RETIRE_FENCE
+                break
+            if budget == 0:
+                if counter >= window:
+                    reason = RETIRE_WINDOW
+                    break
+                if remaining > 0:
+                    chunk = stride if stride < remaining else remaining
+                    remaining -= chunk
+                else:
+                    chunk = 1  # resumed mid-block with no prepaid budget
+                counter += chunk
+                budget = chunk
+            budget -= 1
+            if op == O_BR and depth < order:
+                self._spec_run(depth + 1, order, pc, counter, acct[:])
+            out = handlers[pc](m, ctx)
+            steps += 1
+            if out == OUT_HALT:
+                reason = RETIRE_HALT
+                break
+            if out == OUT_FAULT:
+                reason = RETIRE_FAULT
+                break
+            entered = m.entered_block
+            if entered >= 0:
+                if op == O_CALL:
+                    acct.append((remaining, budget))
+                remaining = block_lens[entered]
+                budget = 0
+            elif op == O_RET:
+                if acct:
+                    remaining, budget = acct.pop()
+                else:
+                    remaining = budget = 0
+        self.spec_steps += steps
+        self.retired[reason] = self.retired.get(reason, 0) + 1
+        self.rollback()

@@ -1,11 +1,13 @@
 """Exhaustive path enumeration and cross-checks against the live engine."""
 
+import inspect
+
 import pytest
 
 from genprog import random_input, random_program
 from specvm.engine import SpecConfig, run_with_exposure
 from specvm.isa import parse_program
-from specvm.machine import ExecImage, Machine
+from specvm.machine import DEFAULT_MAX_STEPS, ExecImage, Machine, run_architectural
 from specvm.oracle import OracleError, enumerate_paths
 
 CENSUS = """\
@@ -149,3 +151,12 @@ def test_recursive_programs_nest_calls_on_both_paths():
         spec_recursion += any(sum(b.endswith(":r") for b in s.blocks) >= 2
                               for s in out.scripts)
     assert nested >= 10 and spec_recursion >= 10
+
+
+def test_oracle_and_interpreter_defaults_match_the_engine():
+    cfg = SpecConfig()
+    oracle = inspect.signature(enumerate_paths).parameters
+    for name in ("window", "stride", "max_steps", "identity"):
+        assert oracle[name].default == getattr(cfg, name), name
+    arch = inspect.signature(run_architectural).parameters
+    assert arch["max_steps"].default == cfg.max_steps == DEFAULT_MAX_STEPS

@@ -6,7 +6,9 @@ instruction the return value and the whole visible state must agree.
 Speculative runs hand each machine its own SpecContext and at random
 branches force both down the inverted outcome, as the exposure engine
 does, so the access and fault policy hooks and the write log are compared
-too.
+too.  The kind and branch tables that the exposure engine's loops
+dispatch on are checked against the decoded code and against what each
+step does.
 """
 
 import random
@@ -18,8 +20,26 @@ from refstep import _cc_eval, reference_step
 from specvm.detect import SpecContext
 from specvm.gadgets import builtin_gadget, gadget_ids
 from specvm.harden import fence_pass, slh_pass
-from specvm.isa import parse_program
-from specvm.machine import O_BR, OUT_OK, ExecImage, Machine, MemLayout
+from specvm.isa import Op, parse_program
+from specvm.machine import (
+    K_BR,
+    K_CALL,
+    K_FENCE,
+    K_JUMP,
+    K_PLAIN,
+    K_RET,
+    KIND_OF_OP,
+    O_BR,
+    O_CALL,
+    O_FENCE,
+    O_JMP,
+    O_JTAB,
+    O_RET,
+    OUT_OK,
+    ExecImage,
+    Machine,
+    MemLayout,
+)
 
 MAX_STEPS = 3000
 
@@ -30,11 +50,39 @@ def _state(m: Machine, ctx: SpecContext | None) -> tuple:
             None if ctx is None else (ctx.records, ctx.branches, ctx.wlog))
 
 
+def test_every_opcode_has_exactly_one_kind():
+    assert set(KIND_OF_OP) == {int(op) for op in Op}
+    assert set(KIND_OF_OP.values()) == {K_PLAIN, K_FENCE, K_RET, K_BR, K_CALL, K_JUMP}
+    assert {op for op, kind in KIND_OF_OP.items() if kind != K_PLAIN} == {
+        O_FENCE, O_RET, O_BR, O_CALL, O_JMP, O_JTAB}
+    # The loops treat the kinds at or above K_BR as the ones entering a block.
+    assert {op for op, kind in KIND_OF_OP.items() if kind >= K_BR} == {
+        O_BR, O_CALL, O_JMP, O_JTAB}
+
+
+def check_tables(image: ExecImage) -> None:
+    """kinds and br cover every pc and agree with the decoded code."""
+    assert len(image.kinds) == len(image.br) == len(image.code)
+    for pc, (op, _, taken, fall, _) in enumerate(image.code):
+        assert image.kinds[pc] == KIND_OF_OP[op], pc
+        if op == O_BR:
+            _, t_pc, t_blk, f_pc, f_blk = image.br[pc]
+            assert (t_pc, t_blk, f_pc, f_blk) == (
+                image.blocks[taken][0], taken, image.blocks[fall][0], fall), pc
+        else:
+            assert image.br[pc] is None, pc
+
+
 def lockstep(image: ExecImage, data: bytes, speculative: bool, seed: int = 0,
              layout: MemLayout | None = None) -> int:
     """Step both machines to HALT, a fault or MAX_STEPS, comparing after
     every step; returns the number of steps taken.  With speculative set,
-    each BR is forced down its inverted outcome with probability 1/2."""
+    each BR is forced down its inverted outcome with probability 1/2.
+
+    After every step of an instruction whose kind enters no block,
+    entered_block must be -1: the engine's loops read it only after the
+    other kinds."""
+    check_tables(image)
     fast, ref = Machine(image, data, layout), Machine(image, data, layout)
     fast_ctx = SpecContext(input_id="x") if speculative else None
     ref_ctx = SpecContext(input_id="x") if speculative else None
@@ -57,6 +105,10 @@ def lockstep(image: ExecImage, data: bytes, speculative: bool, seed: int = 0,
         want = reference_step(ref, ref_ctx)
         assert out == want, (step, pc)
         assert _state(fast, fast_ctx) == _state(ref, ref_ctx), (step, pc)
+        if image.kinds[pc] < K_BR:
+            assert fast.entered_block == -1, (step, pc)
+        elif out == OUT_OK:
+            assert fast.entered_block >= 0, (step, pc)
         if out != OUT_OK:
             assert fast.pc == pc, (step, pc)
             break
