@@ -2,10 +2,10 @@
 
 Subcommands: asm, run, fuzz, analyze, harden, oracle, gadgets.
 
-Exit codes: 0 success; 1 usage, configuration, or input problems
-(including an analyze invocation that could only read part of its trace
-files); 2 the program crashed architecturally under run; 3 violations
-were found and --strict was given.
+Exit codes: 0 success; 1 usage, configuration, or input problems, or a
+file that cannot be read or written (including an analyze invocation
+that could only read part of its trace files); 2 the program crashed
+architecturally under run; 3 violations were found and --strict was given.
 
 Options can come from a config file of key=value lines (--config);
 explicit command line flags win over the file, the file wins over
@@ -40,16 +40,17 @@ from .gadgets import GadgetError, builtin_gadget, gadget_ids
 from .harden import HardenError, fence_pass, slh_pass
 from .isa import AsmError, parse_program, emit_text
 from .machine import ExecImage, MemLayout
-from .oracle import OracleError, enumerate_paths
+from .oracle import SCRIPT_LIMIT, OracleError, enumerate_paths
 
 OK = 0
 E_USAGE = 1
 E_CRASH = 2
 E_VIOLATIONS = 3
 
-# Speculation settings not given on the command line or in a config file
-# take SpecConfig's defaults.
+# Settings not given on the command line or in a config file take
+# SpecConfig's and FuzzConfig's defaults.
 _DEFAULTS = SpecConfig()
+_FUZZ_DEFAULTS = FuzzConfig()
 
 _CONFIG_KEYS = {
     "window": int, "stride": int, "max_order": int, "order_base": int,
@@ -70,14 +71,21 @@ class CliError(Exception):
         self.code = code
 
 
+def _read_text(path: str, what: str) -> str:
+    p = Path(path)
+    if not p.is_file():
+        raise CliError(f"{what} not found: {path}")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise CliError(f"{what} {path} is not UTF-8 text: {e}")
+
+
 def _read_config(path: str | None) -> dict:
     if not path:
         return {}
-    p = Path(path)
-    if not p.is_file():
-        raise CliError(f"config file not found: {path}")
     out = {}
-    for ln in p.read_text(encoding="utf-8").splitlines():
+    for ln in _read_text(path, "config file").splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
@@ -118,18 +126,15 @@ def _spec_config(args, cfg: dict, simulate: bool = True) -> SpecConfig:
             max_order=_setting(args, cfg, "max_order", _DEFAULTS.max_order),
             order_base=_setting(args, cfg, "order_base", _DEFAULTS.order_base),
             simulate=simulate,
-            identity=_setting(args, cfg, "identity", _DEFAULTS.identity),
         )
     except ValueError as e:
         raise CliError(str(e))
 
 
 def _load_program(path: str):
-    p = Path(path)
-    if not p.is_file():
-        raise CliError(f"program file not found: {path}")
+    text = _read_text(path, "program file")
     try:
-        return parse_program(p.read_text(encoding="utf-8"))
+        return parse_program(text)
     except AsmError as e:
         lines = [f"{path}:{d.line}: {d.message}" for d in e.diagnostics]
         raise CliError("assembly errors:\n" + "\n".join(lines))
@@ -174,34 +179,41 @@ def _cmd_asm(args) -> int:
     return OK
 
 
+def _report(args, records, identity: str, summary: str, doc: dict) -> None:
+    """Print the summary line and one line per record, or under --json the
+    doc with the records added."""
+    if args.json:
+        doc["records"] = [r.to_wire() for r in records]
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        return
+    print(summary)
+    for r in records:
+        print(f"  {r.kind} at {r.offending} order={r.order} "
+              f"identity={r.identity(identity)} via {list(r.branches)}")
+
+
 def _cmd_run(args) -> int:
     cfg = _read_config(args.config)
     program = _load_program(args.file)
     data = _input_bytes(args)
     spec = _spec_config(args, cfg, simulate=not args.no_simulate)
+    identity = _setting(args, cfg, "identity", _FUZZ_DEFAULTS.identity)
     stats = full_order_stats(program, spec)
     trace = run_with_exposure(program, data, spec, stats)
     res = trace.result
-    records = trace.deduped(spec.identity)
-    if args.json:
-        doc = {
-            "halted": res.halted,
-            "steps": res.steps,
-            "fault": res.fault.kind if res.fault else None,
-            "regs": list(res.regs),
-            "edges": len(trace.edges),
-            "spec_steps": trace.spec_steps,
-            "records": [r.to_wire() for r in records],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        state = "halted" if res.halted else (
-            f"fault: {res.fault.kind}" if res.fault else "stopped")
-        print(f"{state} after {res.steps} steps "
-              f"({trace.spec_steps} speculative), {len(records)} violations")
-        for r in records:
-            print(f"  {r.kind} at {r.offending} order={r.order} "
-                  f"identity={r.identity(spec.identity)} via {list(r.branches)}")
+    records = trace.deduped(identity)
+    state = "halted" if res.halted else (
+        f"fault: {res.fault.kind}" if res.fault else "stopped")
+    summary = (f"{state} after {res.steps} steps "
+               f"({trace.spec_steps} speculative), {len(records)} violations")
+    _report(args, records, identity, summary, {
+        "halted": res.halted,
+        "steps": res.steps,
+        "fault": res.fault.kind if res.fault else None,
+        "regs": list(res.regs),
+        "edges": len(trace.edges),
+        "spec_steps": trace.spec_steps,
+    })
     if res.fault is not None:
         return E_CRASH
     if records and args.strict:
@@ -215,15 +227,17 @@ def _cmd_fuzz(args) -> int:
     spec = _spec_config(args, cfg)
     try:
         fuzz_cfg = FuzzConfig(
-            runs=_setting(args, cfg, "runs", 1000),
-            seed=_setting(args, cfg, "seed", 0),
-            workers=_setting(args, cfg, "workers", 1),
-            max_len=_setting(args, cfg, "max_len", 64),
-            identity=spec.identity,
+            runs=_setting(args, cfg, "runs", _FUZZ_DEFAULTS.runs),
+            seed=_setting(args, cfg, "seed", _FUZZ_DEFAULTS.seed),
+            workers=_setting(args, cfg, "workers", _FUZZ_DEFAULTS.workers),
+            max_len=_setting(args, cfg, "max_len", _FUZZ_DEFAULTS.max_len),
+            identity=_setting(args, cfg, "identity", _FUZZ_DEFAULTS.identity),
             spec=spec,
         )
     except ValueError as e:
         raise CliError(str(e))
+    if args.out:  # fail before the session, not after it
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     result = fuzz_loop(program, fuzz_cfg, out_dir=args.out)
     print(f"runs={result.runs} (attempts={result.attempts}) "
           f"corpus={len(result.corpus)} edges={len(result.edges)} "
@@ -234,9 +248,20 @@ def _cmd_fuzz(args) -> int:
     return OK
 
 
+def _read_branch_counts(path: str) -> dict[str, int]:
+    try:
+        _, doc = read_json(path)
+    except ValueError as e:
+        raise CliError(f"cannot read branch stats {path}: {e}")
+    counts = doc.get("counts") if isinstance(doc, dict) else None
+    if isinstance(counts, dict) and all(type(n) is int for n in counts.values()):
+        return counts
+    raise CliError(f"{path} holds no branch counts")
+
+
 def _cmd_analyze(args) -> int:
     cfg = _read_config(args.config)
-    identity = _setting(args, cfg, "identity", _DEFAULTS.identity)
+    identity = _setting(args, cfg, "identity", _FUZZ_DEFAULTS.identity)
     findings: dict = {}
     partial = False
     for path in args.traces:
@@ -260,8 +285,7 @@ def _cmd_analyze(args) -> int:
     if args.whitelist_out:
         if not args.stats:
             raise CliError("--whitelist-out needs --stats (branch_stats.json)")
-        _, doc = read_json(args.stats)
-        counts = doc.get("counts", {})
+        counts = _read_branch_counts(args.stats)
         wl_min = _setting(args, cfg, "whitelist_min", DEFAULT_WHITELIST_MIN_INPUTS)
         wl = build_whitelist(findings, counts, wl_min)
         write_whitelist(args.whitelist_out, wl, {"min_inputs": wl_min})
@@ -277,9 +301,10 @@ def _cmd_harden(args) -> int:
     program = _load_program(args.file)
     whitelist = set()
     if args.whitelist:
-        if not Path(args.whitelist).is_file():
-            raise CliError(f"whitelist file not found: {args.whitelist}")
-        whitelist = read_whitelist(args.whitelist)
+        try:
+            whitelist = read_whitelist(args.whitelist)
+        except ValueError as e:
+            raise CliError(f"cannot read whitelist {args.whitelist}: {e}")
     try:
         result = (fence_pass if args.mode == "fence" else slh_pass)(program, whitelist)
     except HardenError as e:
@@ -302,7 +327,7 @@ def _cmd_oracle(args) -> int:
     cfg = _read_config(args.config)
     program = _load_program(args.file)
     data = _input_bytes(args)
-    identity = _setting(args, cfg, "identity", _DEFAULTS.identity)
+    identity = _setting(args, cfg, "identity", _FUZZ_DEFAULTS.identity)
     try:
         outcome = enumerate_paths(
             program, data,
@@ -314,19 +339,10 @@ def _cmd_oracle(args) -> int:
         )
     except OracleError as e:
         raise CliError(str(e))
-    if args.json:
-        doc = {
-            "scripts": len(outcome.scripts),
-            "records": [r.to_wire() for r in outcome.records],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(f"{len(outcome.scripts)} speculative paths, "
-              f"{len(outcome.keys)} distinct violations")
-        for r in outcome.records:
-            print(f"  {r.kind} at {r.offending} order={r.order} "
-                  f"identity={r.identity(identity)} "
-                  f"via {list(r.branches)}")
+    summary = (f"{len(outcome.scripts)} speculative paths, "
+               f"{len(outcome.keys)} distinct violations")
+    _report(args, outcome.records, identity, summary,
+            {"scripts": len(outcome.scripts)})
     if outcome.keys and args.strict:
         return E_VIOLATIONS
     return OK
@@ -407,7 +423,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="artifact directory")
     p.add_argument("--runs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="split the runs over this many deterministic shards")
     p.add_argument("--max-len", dest="max_len", type=int, default=None)
     _add_spec_flags(p)
     p.add_argument("--strict", action="store_true")
@@ -437,7 +454,7 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     _add_input_flags(p)
     _add_spec_flags(p)
-    p.add_argument("--limit", type=int, default=1 << 16,
+    p.add_argument("--limit", type=int, default=SCRIPT_LIMIT,
                    help="abort beyond this many scripts")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -459,6 +476,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"svm: error: {e}", file=sys.stderr)
         return e.code
+    except OSError as e:  # a file that cannot be read or written
+        print(f"svm: error: {e}", file=sys.stderr)
+        return E_USAGE
 
 
 if __name__ == "__main__":

@@ -58,7 +58,6 @@ inputs get ever deeper trees.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from .detect import SpecContext, ViolationRecord, dedup_key
@@ -110,7 +109,6 @@ class SpecConfig:
     order_base: int = DEFAULT_ORDER_BASE
     simulate: bool = True
     max_steps: int = DEFAULT_MAX_STEPS
-    identity: str = "offset"
 
     def __post_init__(self):
         if self.window < 1:
@@ -141,33 +139,24 @@ def allowed_order(n: int, base: int = DEFAULT_ORDER_BASE,
 
 
 class BranchStats:
-    """Thread-safe count of distinct fuzzing inputs per conditional branch."""
+    """Count of distinct fuzzing inputs per conditional branch."""
 
     def __init__(self, counts: dict[str, int] | None = None):
         self._counts: dict[str, int] = dict(counts or {})
-        self._lock = threading.Lock()
 
     def bump(self, branch: str) -> int:
-        with self._lock:
-            n = self._counts.get(branch, 0) + 1
-            self._counts[branch] = n
-            return n
+        n = self._counts.get(branch, 0) + 1
+        self._counts[branch] = n
+        return n
 
     def count(self, branch: str) -> int:
-        with self._lock:
-            return self._counts.get(branch, 0)
+        return self._counts.get(branch, 0)
 
     def preseed(self, branch: str, n: int) -> None:
-        with self._lock:
-            self._counts[branch] = n
+        self._counts[branch] = n
 
     def to_dict(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    @staticmethod
-    def from_dict(d: dict[str, int]) -> "BranchStats":
-        return BranchStats(d)
+        return dict(self._counts)
 
 
 def full_order_stats(program: Program, config: SpecConfig | None = None) -> BranchStats:

@@ -8,10 +8,11 @@ which is what drives the simulation depth schedule: deeper nesting is
 granted to branches as ever more inputs pile onto them.
 
 Inputs are named by content hash, so the corpus and all reports stay
-stable across runs.  With a single worker the whole session is a pure
-function of the seed.  Extra workers are threads under one interpreter
-lock: they give up that determinism and measurably gain nothing (the
-benchmark's two-worker to one-worker time per run is 0.96-1.05).
+stable across runs.  ``workers=N`` runs N independent shards in turn in
+this process; each runs the seeds and its share of the budget from its
+own random stream.  Merged in shard order (first entry per input id,
+unions, summed counts, run numbers offset), every artifact but the wall
+time in ``session.json`` is a pure function of (seed, workers).
 
 Artifact layout under the output directory::
 
@@ -30,9 +31,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import threading
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .artifacts import write_json, write_lines
@@ -115,16 +116,17 @@ def mutate(data: bytes, rng: random.Random, corpus: list[bytes],
 
 
 class Fuzzer:
-    """One fuzzing session over a fixed program."""
+    """One shard of a fuzzing session: the seeds, then ``config.runs``
+    mutated inputs drawn from the shard's own random stream."""
 
     def __init__(self, program: Program | ExecImage,
                  config: FuzzConfig | None = None,
-                 seeds: tuple[bytes, ...] = DEFAULT_SEEDS):
+                 seeds: tuple[bytes, ...] = DEFAULT_SEEDS, shard: int = 0):
         self.image = program if isinstance(program, ExecImage) else ExecImage(program)
         self.cfg = config or FuzzConfig()
         self.seeds = tuple(seeds)
+        self.shard = shard
         self.stats = BranchStats()
-        self.lock = threading.Lock()
         self.coverage: set[tuple[int, int]] = set()
         self.keys: set = set()
         self.corpus: list[tuple[str, bytes, str]] = []
@@ -136,89 +138,79 @@ class Fuzzer:
         self.attempts = 0
 
     def _execute(self, engine: ExposureEngine, data: bytes, reason_hint: str) -> None:
-        """Run one distinct input and merge what it found.  Caller holds no
-        lock; merging takes it."""
+        """Run one distinct input and merge what it found."""
+        self.attempts += 1
         iid = input_id(data)
-        with self.lock:
-            if iid in self.executed_ids:
-                return
-            self.executed_ids.add(iid)
-            serial = self.runs
-            self.runs += 1
-        trace = engine.run(data, self.stats, input_id=iid, run_serial=serial)
+        if iid in self.executed_ids:
+            return
+        self.executed_ids.add(iid)
+        trace = engine.run(data, self.stats, input_id=iid, run_serial=self.runs)
+        self.runs += 1
         run_records = trace.deduped(self.cfg.identity)
-        with self.lock:
-            new_edge = bool(trace.edges - self.coverage)
-            self.coverage |= trace.edges
-            new_key = False
-            for rec in run_records:
-                k = dedup_key(rec, self.cfg.identity)
-                if k not in self.keys:
-                    self.keys.add(k)
-                    new_key = True
-            self.records.extend(run_records)
-            if trace.result.fault is not None:
-                self.crashes.append((iid, data))
-            if reason_hint == KEEP_SEED:
-                reason = KEEP_SEED
-            elif new_key:
-                reason = KEEP_VULN
-            elif new_edge:
-                reason = KEEP_EDGE
-            else:
-                return
-            self.corpus.append((iid, data, reason))
-            self.corpus_bytes.append(data)
-
-    def _pick_parent(self, rng: random.Random) -> bytes:
-        with self.lock:
-            pool = self.corpus
-            return rng.choice(pool)[1] if pool else b""
-
-    def _worker(self, widx: int, budget: int, engine: ExposureEngine) -> None:
-        rng = random.Random(self.cfg.seed * 1_000_003 + widx)
-        for _ in range(budget):
-            parent = self._pick_parent(rng)
-            # corpus_bytes only grows, so reading it while another worker
-            # appends sees a consistent prefix.
-            data = mutate(parent, rng, self.corpus_bytes, self.cfg.max_len)
-            with self.lock:
-                self.attempts += 1
-            self._execute(engine, data, "")
+        new_edge = bool(trace.edges - self.coverage)
+        self.coverage |= trace.edges
+        new_key = False
+        for rec in run_records:
+            k = dedup_key(rec, self.cfg.identity)
+            if k not in self.keys:
+                self.keys.add(k)
+                new_key = True
+        self.records.extend(run_records)
+        if trace.result.fault is not None:
+            self.crashes.append((iid, data))
+        if reason_hint == KEEP_SEED:
+            reason = KEEP_SEED
+        elif new_key:
+            reason = KEEP_VULN
+        elif new_edge:
+            reason = KEEP_EDGE
+        else:
+            return
+        self.corpus.append((iid, data, reason))
+        self.corpus_bytes.append(data)
 
     def run_session(self) -> FuzzResult:
         t0 = time.monotonic()
         engine = ExposureEngine(self.image, self.cfg.spec)
         for s in self.seeds:
-            with self.lock:
-                self.attempts += 1
             self._execute(engine, s, KEEP_SEED)
-        budget = self.cfg.runs
-        if self.cfg.workers == 1:
-            self._worker(0, budget, engine)
-        else:
-            per = budget // self.cfg.workers
-            extra = budget - per * self.cfg.workers
-            threads = []
-            for w in range(self.cfg.workers):
-                b = per + (1 if w < extra else 0)
-                t = threading.Thread(target=self._worker, args=(
-                    w, b, ExposureEngine(self.image, self.cfg.spec)))
-                threads.append(t)
-                t.start()
-            for t in threads:
-                t.join()
+        rng = random.Random(self.cfg.seed * 1_000_003 + self.shard)
+        for _ in range(self.cfg.runs):
+            parent = rng.choice(self.corpus)[1] if self.corpus else b""
+            data = mutate(parent, rng, self.corpus_bytes, self.cfg.max_len)
+            self._execute(engine, data, "")
         return FuzzResult(
             attempts=self.attempts,
             runs=self.runs,
-            corpus=list(self.corpus),
-            crashes=list(self.crashes),
-            edges=set(self.coverage),
-            keys=set(self.keys),
-            records=list(self.records),
+            corpus=self.corpus,
+            crashes=self.crashes,
+            edges=self.coverage,
+            keys=self.keys,
+            records=self.records,
             stats=self.stats,
             wall_seconds=time.monotonic() - t0,
         )
+
+
+def _merge(shards: list[FuzzResult]) -> FuzzResult:
+    """Combine shard results in shard order (see module docstring)."""
+    corpus, crashes, records, counts, runs = {}, {}, [], Counter(), 0
+    for r in shards:
+        for entry in r.corpus:
+            corpus.setdefault(entry[0], entry)
+        for entry in r.crashes:
+            crashes.setdefault(entry[0], entry)
+        records += ([replace(rec, run=rec.run + runs) for rec in r.records]
+                    if runs else r.records)
+        counts.update(r.stats.to_dict())
+        runs += r.runs
+    return FuzzResult(
+        attempts=sum(r.attempts for r in shards), runs=runs,
+        corpus=list(corpus.values()), crashes=list(crashes.values()),
+        edges=set().union(*(r.edges for r in shards)),
+        keys=set().union(*(r.keys for r in shards)),
+        records=records, stats=BranchStats(counts),
+        wall_seconds=sum(r.wall_seconds for r in shards))
 
 
 def _write_input(path: Path, data: bytes) -> None:
@@ -267,10 +259,15 @@ def write_artifacts(result: FuzzResult, out_dir: str | Path,
 def fuzz_loop(program: Program | ExecImage, config: FuzzConfig | None = None,
               seeds: tuple[bytes, ...] = DEFAULT_SEEDS,
               out_dir: str | Path | None = None) -> FuzzResult:
-    """Run one fuzzing session; write artifacts when out_dir is given."""
+    """Run one fuzzing session of ``config.workers`` shards (see module
+    docstring); write artifacts when out_dir is given."""
     cfg = config or FuzzConfig()
-    fuzzer = Fuzzer(program, cfg, seeds)
-    result = fuzzer.run_session()
+    image = program if isinstance(program, ExecImage) else ExecImage(program)
+    per, extra = divmod(cfg.runs, cfg.workers)
+    shards = [Fuzzer(image, replace(cfg, runs=per + (shard < extra)), seeds,
+                     shard).run_session()
+              for shard in range(cfg.workers)]
+    result = _merge(shards)
     if out_dir is not None:
         write_artifacts(result, out_dir, cfg)
     return result

@@ -69,15 +69,6 @@ class HardenResult:
     branch_map: dict[str, str]  # original BR iid -> hardened BR iid
 
 
-@dataclass
-class _Edge:
-    br_iid: InstructionId
-    block: str  # block holding the BR
-    cc: str  # condition that holds on this edge
-    target: str
-    taken: bool
-
-
 def _reserved_register_used(program: Program) -> str | None:
     for iid, ins in program.iter_instructions():
         for op in ins.ops:
@@ -262,8 +253,8 @@ def verify_hardening(original: Program, result: HardenResult,
     same final state, ignoring the two reserved registers and the stack
     region (return slots encode instruction positions, which instrumenting
     shifts).  Residual exposure: the hardened program is run with full
-    simulation depth on every input and all surviving violation keys are
-    reported.
+    simulation depth on every input and all surviving violation keys
+    (offset identity) are reported.
     """
     cfg = config or engine.SpecConfig()
     mismatches = []
@@ -280,7 +271,7 @@ def verify_hardening(original: Program, result: HardenResult,
             mismatches.append(inp)
         trace = engine.run_with_exposure(hardened_image, inp, cfg, stats)
         for rec in trace.records:
-            residual.add((rec.offending, rec.kind, rec.identity(cfg.identity)))
+            residual.add((rec.offending, rec.kind, rec.identity()))
     return {
         "preserved": not mismatches,
         "mismatches": mismatches,

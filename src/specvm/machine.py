@@ -72,8 +72,6 @@ A_SCRATCH = 1
 A_REDZONE = 2
 A_UNMAPPED = 3
 
-ACCESS_NAMES = {A_VALID: "valid", A_SCRATCH: "scratch", A_REDZONE: "redzone", A_UNMAPPED: "unmapped"}
-
 # Fault kinds
 F_OOB = "oob-access"
 F_DIV = "div-zero"
@@ -1044,7 +1042,7 @@ def run_architectural(
 
 
 __all__ = [
-    "A_VALID", "A_SCRATCH", "A_REDZONE", "A_UNMAPPED", "ACCESS_NAMES",
+    "A_VALID", "A_SCRATCH", "A_REDZONE", "A_UNMAPPED",
     "F_OOB", "F_DIV", "F_JTAB", "F_RET", "F_STACK", "F_HEAP", "F_STEP",
     "OUT_OK", "OUT_HALT", "OUT_FAULT",
     "MemLayout", "AccessClass", "Fault", "AllocationTable", "ExecImage",

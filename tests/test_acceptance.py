@@ -317,21 +317,21 @@ t2:
 
 
 def test_10_fuzzing_is_reproducible(report, tmp_path):
-    def body():
-        digests = []
-        for tag in ("a", "b"):
-            out = tmp_path / tag
-            fuzz_loop(builtin_gadget(8).program,
-                      FuzzConfig(runs=300, seed=7, spec=SpecConfig(max_order=2)),
-                      out_dir=out)
-            corpus = {p.name: p.read_bytes()
-                      for p in (out / "corpus").iterdir()}
-            crashes = {p.name: p.read_bytes()
-                       for p in (out / "crashes").iterdir()}
-            digests.append(((out / "trace.jsonl").read_bytes(),
-                            (out / "branch_stats.json").read_bytes(),
-                            corpus, crashes))
-        return digests[0] == digests[1]
+    def session(workers, tag):
+        out = tmp_path / f"w{workers}{tag}"
+        fuzz_loop(builtin_gadget(8).program,
+                  FuzzConfig(runs=300, seed=7, workers=workers,
+                             spec=SpecConfig(max_order=2)),
+                  out_dir=out)
+        corpus = {p.name: p.read_bytes() for p in (out / "corpus").iterdir()}
+        crashes = {p.name: p.read_bytes() for p in (out / "crashes").iterdir()}
+        return ((out / "trace.jsonl").read_bytes(),
+                (out / "branch_stats.json").read_bytes(), corpus, crashes)
 
-    report(10, "two fuzzing sessions with the same seed produce byte-identical "
-               "traces, statistics, corpora, and crash sets", body)
+    def body():
+        return all(session(workers, "a") == session(workers, "b")
+                   for workers in (1, 2))
+
+    report(10, "two fuzzing sessions with the same seed and worker count (1 or "
+               "2) produce byte-identical traces, statistics, corpora, and "
+               "crash sets", body)

@@ -232,6 +232,32 @@ def test_analyze_malformed_trace_line_exits_1(tmp_path, capsys, line, diagnostic
     assert diagnostic in capsys.readouterr().err
 
 
+NOT_UTF8 = b"fn main:\xff\xfe\n"
+STATS_ARGS = ["analyze", "{trace}", "--stats", "{dir}/stats.json",
+              "--whitelist-out", "{dir}/wl.txt"]
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({}, STATS_ARGS),
+    ({"stats.json": b"{bad"}, STATS_ARGS),
+    ({"stats.json": b"[1]"}, STATS_ARGS),
+    ({"p.sasm": NOT_UTF8}, ["run", "{dir}/p.sasm"]),
+    ({"c.cfg": NOT_UTF8}, ["run", "{g01}", "--config", "{dir}/c.cfg"]),
+    ({"wl.txt": NOT_UTF8}, ["harden", "{g01}", "--mode", "fence",
+                            "--whitelist", "{dir}/wl.txt"]),
+    ({"out": b""}, ["fuzz", "{g01}", "--runs", "1", "--out", "{dir}/out"]),
+], ids=["stats-missing", "stats-not-json", "stats-not-an-object",
+        "program-not-utf8", "config-not-utf8", "whitelist-not-utf8",
+        "out-is-a-file"])
+def test_unreadable_files_give_a_diagnostic(files, argv, g01, tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('#%svm {"file": "trace"}\n')
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert main([a.format(dir=tmp_path, g01=g01, trace=trace) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("svm: error: ")
+
+
 # -- harden -------------------------------------------------------------------------
 
 def test_harden_fence_output(g01, tmp_path, capsys):

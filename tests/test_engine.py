@@ -80,7 +80,7 @@ def test_branch_stats_counting():
     assert s.bump("x") == 2
     s.preseed("y", 10)
     assert s.bump("y") == 11
-    assert BranchStats.from_dict(s.to_dict()).count("x") == 2
+    assert BranchStats(s.to_dict()).count("x") == 2
 
 
 def test_stats_bump_once_per_run_even_in_loops():

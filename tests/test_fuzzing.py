@@ -2,6 +2,8 @@
 
 import json
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,8 +179,47 @@ def test_sessions_with_different_seeds_diverge():
 def test_multi_worker_session_completes_with_merged_state():
     g = builtin_gadget(1)
     res = fuzz_loop(g.program, small_cfg(runs=200, workers=4))
-    assert res.attempts == 200 + len(DEFAULT_SEEDS)
+    # Every shard runs the seeds itself.
+    assert res.attempts == 200 + 4 * len(DEFAULT_SEEDS)
     assert res.keys and res.edges
+
+
+def test_sharded_session_is_the_merge_of_its_shards():
+    program = builtin_gadget(8).program
+    cfg = small_cfg(runs=200, seed=5, workers=3)
+    merged = fuzz_loop(program, cfg)
+    shards = [Fuzzer(program, replace(cfg, runs=budget), shard=shard).run_session()
+              for shard, budget in enumerate((67, 67, 66))]
+    corpus, crashes = {}, {}
+    for r in shards:
+        for entry in r.corpus:
+            corpus.setdefault(entry[0], entry)
+        for entry in r.crashes:
+            crashes.setdefault(entry[0], entry)
+    assert merged.corpus == list(corpus.values())
+    assert merged.crashes == list(crashes.values())
+    assert merged.edges == set().union(*(r.edges for r in shards))
+    assert merged.keys == set().union(*(r.keys for r in shards))
+    assert merged.attempts == sum(r.attempts for r in shards) \
+        == 200 + 3 * len(DEFAULT_SEEDS)
+    assert merged.runs == sum(r.runs for r in shards)
+    counts = Counter()
+    for r in shards:
+        counts.update(r.stats.to_dict())
+    assert merged.stats.to_dict() == dict(counts)
+    offsets = (0, shards[0].runs, shards[0].runs + shards[1].runs)
+    assert merged.records == [replace(rec, run=rec.run + offset)
+                              for r, offset in zip(shards, offsets)
+                              for rec in r.records]
+    assert all(r.records for r in shards)
+    # Ids stay unique in the corpus, and each run number names one run.
+    ids = [iid for iid, _, _ in merged.corpus]
+    assert len(ids) == len(set(ids))
+    runs = [rec.run for rec in merged.records]
+    assert runs == sorted(runs) and runs[-1] < merged.runs
+    run_input = {}
+    for rec in merged.records:
+        assert run_input.setdefault(rec.run, rec.input_id) == rec.input_id
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -188,7 +229,7 @@ def test_corpus_bytes_follow_the_corpus(workers):
     assert fuzzer.corpus_bytes == [d for _, d, _ in res.corpus]
 
 
-@pytest.mark.parametrize("workers,engines", [(1, 1), (3, 4)])
+@pytest.mark.parametrize("workers,engines", [(1, 1), (3, 3)])
 def test_single_worker_session_runs_the_prefix_once(workers, engines, monkeypatch):
     built = []
     init = ExposureEngine.__init__

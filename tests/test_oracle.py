@@ -1,14 +1,18 @@
 """Exhaustive path enumeration and cross-checks against the live engine."""
 
 import inspect
+from dataclasses import replace
 
 import pytest
 
 from genprog import random_input, random_program
+from specvm import cli
+from specvm.cli import build_parser
 from specvm.engine import SpecConfig, run_with_exposure
+from specvm.fuzzing import FuzzConfig, fuzz_loop
 from specvm.isa import parse_program
 from specvm.machine import DEFAULT_MAX_STEPS, ExecImage, Machine, run_architectural
-from specvm.oracle import OracleError, enumerate_paths
+from specvm.oracle import SCRIPT_LIMIT, OracleError, enumerate_paths
 
 CENSUS = """\
 fn main:
@@ -153,10 +157,25 @@ def test_recursive_programs_nest_calls_on_both_paths():
     assert nested >= 10 and spec_recursion >= 10
 
 
-def test_oracle_and_interpreter_defaults_match_the_engine():
+def test_oracle_and_interpreter_defaults_match_the_engine(tmp_path, monkeypatch):
     cfg = SpecConfig()
     oracle = inspect.signature(enumerate_paths).parameters
-    for name in ("window", "stride", "max_steps", "identity"):
+    for name in ("window", "stride", "max_steps"):
         assert oracle[name].default == getattr(cfg, name), name
+    assert oracle["identity"].default == FuzzConfig().identity
     arch = inspect.signature(run_architectural).parameters
     assert arch["max_steps"].default == cfg.max_steps == DEFAULT_MAX_STEPS
+    # The CLI's fallbacks come from the same sources.
+    assert oracle["script_limit"].default == SCRIPT_LIMIT
+    assert build_parser().parse_args(["oracle", "p.sasm"]).limit == SCRIPT_LIMIT
+    src = tmp_path / "p.sasm"
+    src.write_text(CENSUS)
+    seen = []
+
+    def no_runs(program, config, out_dir):
+        seen.append(config)
+        return fuzz_loop(program, replace(config, runs=0), out_dir=out_dir)
+    monkeypatch.setattr(cli, "fuzz_loop", no_runs)
+    monkeypatch.delenv("SVM_SEED", raising=False)
+    assert cli.main(["fuzz", str(src)]) == 0
+    assert seen == [FuzzConfig()]
