@@ -42,7 +42,9 @@ above, because Machine.step, the oracle and the reference tests read
 ``Machine.fork(input)`` is the one way to copy a machine: a new machine
 with the given input and its own registers, flags, pc, sp, memory pages and
 allocation table, not halted and with no fault.  The exposure engine forks
-every run from the state its program reaches before input first matters.
+every run from the state its program reaches before input first matters;
+the oracle forks every script from its architectural pass at the script's
+root branch.
 
 The plain reference stepper that the handlers are tested against lives
 with the tests.
@@ -252,8 +254,8 @@ class ExecImage:
     br[i] is (condition, taken pc, taken block, fall pc, fall block) when
     code[i] is a BR and None otherwise; the condition is a function of the
     flags (fa, fb).  It is the one source of branch semantics: the BR
-    handler, branch_outcome, force_branch and the exposure engine's path
-    opening all read it.
+    handler, force_branch and the exposure engine's path opening all read
+    it.
     """
 
     __slots__ = (
@@ -939,12 +941,7 @@ class Machine:
                     keep &= ~(((1 << (8 * (last - first))) - 1) << (8 * (first - addr)))
         return self.raw_read8(addr) & keep
 
-    # -- branch helpers (shared with the exposure engine and the oracle) ---
-
-    def branch_outcome(self, flat: int) -> tuple[bool, int, int]:
-        """(condition holds, taken block, fall block) for the BR at flat."""
-        cond, _, tb, _, fb = self.image.br[flat]
-        return cond(self.fa, self.fb), tb, fb
+    # -- branch helper (shared with the exposure engine and the oracle) ----
 
     def force_branch(self, flat: int, invert: bool) -> int:
         """Move pc to the BR's outcome (or its inverse); returns target block."""

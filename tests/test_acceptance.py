@@ -5,6 +5,7 @@ prints a single PASS or FAIL line to the terminal, bypassing capture, so a
 full run always shows ten verdict lines.
 """
 
+import random
 import time
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from specvm.harden import (
     slh_pass,
     verify_hardening,
 )
-from specvm.isa import parse_program
+from specvm.isa import Op, parse_program
 from specvm.machine import ExecImage, run_architectural
 from specvm.oracle import enumerate_paths
 
@@ -100,33 +101,58 @@ def test_02_hardening_is_sound(report):
 
 
 # (loops, recursion, programs): random program kinds for checks 03 and 04.
-# Programs that both loop and recurse run far longer, and the oracle
-# re-executes each one from its start per script, so 03 takes fewer.
+# Programs that both loop and recurse run far longer, with many more
+# speculative paths per run, so 03 takes fewer of them.
 KINDS_03 = ((False, False, 200), (True, False, 200), (False, True, 200),
             (True, True, 50))
 KINDS_04 = ((False, False, 500), (True, False, 500), (False, True, 500),
             (True, True, 500))
+# Random programs of each kind that 03 also checks fence- and mask-hardened,
+# each under its own random whitelist, at depths 1 and 2.
+HARDENED_03 = 125
+
+
+def _random_whitelist(program, seed):
+    """Each conditional branch of program, kept with probability 1/2."""
+    rng = random.Random(seed)
+    return {str(iid) for iid, ins in program.iter_instructions()
+            if ins.op == Op.BR and rng.random() < 0.5}
+
+
+def _engine_matches_oracle(image, data, order):
+    cfg = SpecConfig(max_order=order, window=64, stride=16)
+    trace = run_with_exposure(image, data, cfg)
+    engine_keys = {(r.offending, r.branches, r.kind, r.identity())
+                   for r in trace.records}
+    oracle = enumerate_paths(image, data, max_order=order, window=64, stride=16)
+    return engine_keys == oracle.keys
 
 
 def test_03_engine_matches_exhaustive_enumeration(report):
     def body():
         for loops, recursion, n in KINDS_03:
             for seed in range(n):
-                p = random_program(seed, loops, recursion)
+                image = ExecImage(random_program(seed, loops, recursion))
                 data = random_input(seed)
                 for order in (1, 2, 3):
-                    cfg = SpecConfig(max_order=order, window=64, stride=16)
-                    trace = run_with_exposure(p, data, cfg)
-                    engine_keys = {(r.offending, r.branches, r.kind, r.identity())
-                                   for r in trace.records}
-                    oracle = enumerate_paths(p, data, max_order=order,
-                                             window=64, stride=16)
-                    assert engine_keys == oracle.keys, (seed, loops, recursion, order)
+                    assert _engine_matches_oracle(image, data, order), \
+                        (seed, loops, recursion, order)
+        for loops, recursion, _ in KINDS_03:
+            for seed in range(HARDENED_03):
+                p = random_program(seed, loops, recursion)
+                data = random_input(seed)
+                for harden in (fence_pass, slh_pass):
+                    image = ExecImage(harden(p, _random_whitelist(p, seed)).program)
+                    for order in (1, 2):
+                        assert _engine_matches_oracle(image, data, order), \
+                            (seed, loops, recursion, harden.__name__, order)
         return True
 
     report(3, "checkpointing engine and script-enumeration oracle agree on "
               "every violation across 200 acyclic, 200 looping, 200 recursive "
-              "and 50 looping recursive random programs at depths 1 to 3", body)
+              "and 50 looping recursive random programs at depths 1 to 3, and "
+              f"on {HARDENED_03} of each kind fence- and mask-hardened under "
+              "random whitelists at depths 1 and 2", body)
 
 
 def test_04_simulation_is_architecturally_transparent(report):

@@ -222,9 +222,9 @@ def test_sharded_session_is_the_merge_of_its_shards():
         assert run_input.setdefault(rec.run, rec.input_id) == rec.input_id
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_corpus_bytes_follow_the_corpus(workers):
-    fuzzer = Fuzzer(builtin_gadget(1).program, small_cfg(runs=200, workers=workers))
+@pytest.mark.parametrize("shard", [0, 1])
+def test_corpus_bytes_follow_the_corpus(shard):
+    fuzzer = Fuzzer(builtin_gadget(1).program, small_cfg(runs=200), shard=shard)
     res = fuzzer.run_session()
     assert fuzzer.corpus_bytes == [d for _, d, _ in res.corpus]
 

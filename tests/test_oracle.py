@@ -1,4 +1,5 @@
-"""Exhaustive path enumeration and cross-checks against the live engine."""
+"""Exhaustive path enumeration and cross-checks against the live engine
+and against the from-start reference oracle (tests/reforacle.py)."""
 
 import inspect
 from dataclasses import replace
@@ -6,10 +7,12 @@ from dataclasses import replace
 import pytest
 
 from genprog import random_input, random_program
+from reforacle import reference_enumerate
 from specvm import cli
 from specvm.cli import build_parser
 from specvm.engine import SpecConfig, run_with_exposure
 from specvm.fuzzing import FuzzConfig, fuzz_loop
+from specvm.gadgets import builtin_gadget, gadget_ids
 from specvm.isa import parse_program
 from specvm.machine import DEFAULT_MAX_STEPS, ExecImage, Machine, run_architectural
 from specvm.oracle import SCRIPT_LIMIT, OracleError, enumerate_paths
@@ -32,15 +35,28 @@ def _paths(names):
     return {tuple(f"main:{c}" for c in word) for word in names}
 
 
+def block_names(image, blocks):
+    """The "fn:label" names of a script's block indices."""
+    return tuple(f"{image.blocks[b][2]}:{image.blocks[b][3]}" for b in blocks)
+
+
+def block_paths(image, out, root, occurrence=1):
+    """Census of speculative block paths for one tree, as names."""
+    return {block_names(image, s.blocks) for s in out.scripts
+            if s.root == root and s.occurrence == occurrence}
+
+
 def test_census_tree_of_the_first_branch():
-    out = enumerate_paths(parse_program(CENSUS), b"", max_order=3, window=16)
-    got = out.block_paths("main:A:1", 1)
+    image = ExecImage(parse_program(CENSUS))
+    out = enumerate_paths(image, b"", max_order=3, window=16)
+    got = block_paths(image, out, "main:A:1", 1)
     assert got == _paths(["CBD", "CCBD", "CBBD", "CCCBD", "CCBBD", "CBBBD"])
 
 
 def test_census_tree_of_the_second_branch():
-    out = enumerate_paths(parse_program(CENSUS), b"", max_order=3, window=16)
-    assert out.block_paths("main:B:0", 1) == _paths(["BD", "BBD", "BBBD"])
+    image = ExecImage(parse_program(CENSUS))
+    out = enumerate_paths(image, b"", max_order=3, window=16)
+    assert block_paths(image, out, "main:B:0", 1) == _paths(["BD", "BBD", "BBBD"])
 
 
 def test_census_script_count_matches_engine_retirement():
@@ -52,9 +68,10 @@ def test_census_script_count_matches_engine_retirement():
 
 
 def test_lower_order_prunes_the_tree():
-    out = enumerate_paths(parse_program(CENSUS), b"", max_order=1, window=16)
-    assert out.block_paths("main:A:1", 1) == _paths(["CBD"])
-    assert out.block_paths("main:B:0", 1) == _paths(["BD"])
+    image = ExecImage(parse_program(CENSUS))
+    out = enumerate_paths(image, b"", max_order=1, window=16)
+    assert block_paths(image, out, "main:A:1", 1) == _paths(["CBD"])
+    assert block_paths(image, out, "main:B:0", 1) == _paths(["BD"])
 
 
 def test_occurrences_get_separate_trees():
@@ -101,8 +118,6 @@ def test_max_order_must_be_positive():
 
 
 def test_keys_match_engine_on_gadgets():
-    from specvm.gadgets import builtin_gadget
-
     for gid in (1, 11, 13, 17, 18):
         g = builtin_gadget(gid)
         for data in (g.trigger, g.safe):
@@ -116,8 +131,6 @@ def test_keys_match_engine_on_gadgets():
 
 
 def test_records_carry_the_forcing_chain():
-    from specvm.gadgets import builtin_gadget
-
     g = builtin_gadget(13)
     out = enumerate_paths(g.program, g.trigger, max_order=2)
     rec = [r for r in out.records if r.offending == g.expected.offending]
@@ -142,19 +155,48 @@ def test_recursive_programs_nest_calls_on_both_paths():
     # speculative paths.
     nested = spec_recursion = 0
     for seed in range(50):
-        p = random_program(seed, recursion=True)
+        image = ExecImage(random_program(seed, recursion=True))
         data = random_input(seed)
-        m = Machine(ExecImage(p), data)
+        m = Machine(image, data)
         lowest = m.sp
         for _ in range(10_000):
             if m.step(None) != 0:
                 break
             lowest = min(lowest, m.sp)
         nested += m.layout.stack_hi - lowest >= 3 * 8
-        out = enumerate_paths(p, data, window=64, stride=16)
-        spec_recursion += any(sum(b.endswith(":r") for b in s.blocks) >= 2
-                              for s in out.scripts)
+        out = enumerate_paths(image, data, window=64, stride=16)
+        spec_recursion += any(
+            sum(b.endswith(":r") for b in block_names(image, s.blocks)) >= 2
+            for s in out.scripts)
     assert nested >= 10 and spec_recursion >= 10
+
+
+def _assert_same_as_reference(image, data, **kw):
+    got = enumerate_paths(image, data, **kw)
+    ref = reference_enumerate(image, data, **kw)
+    assert got.scripts == ref.scripts
+    assert got.records == ref.records
+    assert got.keys == ref.keys
+
+
+def test_gadgets_enumerate_as_the_reference():
+    for gid in gadget_ids():
+        g = builtin_gadget(gid)
+        image = ExecImage(g.program)
+        for data in (g.trigger, g.safe):
+            for order in (1, 2, 3):
+                _assert_same_as_reference(image, data, max_order=order)
+
+
+@pytest.mark.parametrize("loops,recursion", [(False, False), (True, False),
+                                             (False, True), (True, True)])
+def test_random_programs_enumerate_as_the_reference(loops, recursion):
+    # Forking at each root must give the scripts, in order, that replaying
+    # the prefix from program start gives; looping programs repeat roots.
+    for seed in range(30):
+        image = ExecImage(random_program(seed, loops, recursion))
+        _assert_same_as_reference(image, random_input(seed), max_order=2,
+                                  window=64, stride=16)
 
 
 def test_oracle_and_interpreter_defaults_match_the_engine(tmp_path, monkeypatch):

@@ -92,7 +92,8 @@ def lockstep(image: ExecImage, data: bytes, speculative: bool, seed: int = 0,
         op, cc, taken, fall, _ = image.code[pc]
         if speculative and op == O_BR and rng.random() < 0.5:
             holds = _cc_eval(cc, ref.fa, ref.fb)
-            assert fast.branch_outcome(pc) == (holds, taken, fall), pc
+            cond, _, tb, _, fb = image.br[pc]
+            assert (cond(fast.fa, fast.fb), tb, fb) == (holds, taken, fall), pc
             target = fall if holds else taken
             iid = image.iid_str[pc]
             fast_ctx.branches.append(iid)
