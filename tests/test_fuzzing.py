@@ -222,7 +222,7 @@ def test_sharded_session_is_the_merge_of_its_shards():
         assert run_input.setdefault(rec.run, rec.input_id) == rec.input_id
 
 
-@pytest.mark.parametrize("shard", [0, 1])
+@pytest.mark.parametrize("shard", [1, 2])
 def test_corpus_bytes_follow_the_corpus(shard):
     fuzzer = Fuzzer(builtin_gadget(1).program, small_cfg(runs=200), shard=shard)
     res = fuzzer.run_session()
