@@ -27,7 +27,6 @@ from .isa import (
 from .machine import (
     AccessClass,
     Fault,
-    MemLayout,
     RunResult,
     run_architectural,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "validate",
     "AccessClass",
     "Fault",
-    "MemLayout",
     "RunResult",
     "run_architectural",
     "BranchStats",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .artifacts import read_lines, write_lines
-from .detect import KIND_CODE, ViolationRecord
+from .detect import DEFAULT_IDENTITY, KIND_CODE, ViolationRecord
 
 CLASS_CODE = "code"
 CLASS_CONTROLLED = "controlled"
@@ -63,7 +63,7 @@ class Finding:
         return CLASS_UNCONTROLLED
 
 
-def aggregate(records, identity: str = "offset") -> dict[tuple[str, str], Finding]:
+def aggregate(records, identity: str = DEFAULT_IDENTITY) -> dict[tuple[str, str], Finding]:
     """Fold records into findings keyed by (offending, kind)."""
     out: dict[tuple[str, str], Finding] = {}
     for r in records:

@@ -34,13 +34,23 @@ from .analyze import (
 )
 from .artifacts import read_json, sasm_with_header, write_lines
 from .detect import IDENTITY_MODES
-from .engine import SpecConfig, full_order_stats, run_with_exposure
+from .engine import SpecConfig, run_with_exposure
 from .fuzzing import FuzzConfig, fuzz_loop
 from .gadgets import GadgetError, builtin_gadget, gadget_ids
 from .harden import HardenError, fence_pass, slh_pass
 from .isa import AsmError, parse_program, emit_text
-from .machine import ExecImage, MemLayout
-from .oracle import SCRIPT_LIMIT, OracleError, enumerate_paths
+from .machine import (
+    HEAP_BASE,
+    HEAP_CEILING,
+    REDZONE,
+    SCRATCH_BASE,
+    SCRATCH_SIZE,
+    STACK_HI,
+    STACK_LO,
+    STATIC_BASE,
+    ExecImage,
+)
+from .oracle import ORACLE_MAX_ORDER, SCRIPT_LIMIT, OracleError, enumerate_paths
 
 OK = 0
 E_USAGE = 1
@@ -167,12 +177,11 @@ def _cmd_asm(args) -> int:
     else:
         sys.stdout.write(text)
     if args.print_layout:
-        lay = MemLayout()
         image = ExecImage(program)
-        print(f"scratch  [0x{lay.scratch_base:x}, 0x{lay.scratch_base + lay.scratch_size:x})")
-        print(f"static   [0x{lay.static_base:x}, 0x{lay.static_base + len(program.data):x})")
-        print(f"stack    [0x{lay.stack_lo:x}, 0x{lay.stack_hi:x})")
-        print(f"heap     [0x{lay.heap_base:x}, 0x{lay.heap_ceiling:x}) redzone {lay.redzone}")
+        print(f"scratch  [0x{SCRATCH_BASE:x}, 0x{SCRATCH_BASE + SCRATCH_SIZE:x})")
+        print(f"static   [0x{STATIC_BASE:x}, 0x{STATIC_BASE + len(program.data):x})")
+        print(f"stack    [0x{STACK_LO:x}, 0x{STACK_HI:x})")
+        print(f"heap     [0x{HEAP_BASE:x}, 0x{HEAP_CEILING:x}) redzone {REDZONE}")
         print("blocks:")
         for start, length, fn, label in image.blocks:
             print(f"  {fn}:{label}  start={start} len={length}")
@@ -198,8 +207,8 @@ def _cmd_run(args) -> int:
     data = _input_bytes(args)
     spec = _spec_config(args, cfg, simulate=not args.no_simulate)
     identity = _setting(args, cfg, "identity", _FUZZ_DEFAULTS.identity)
-    stats = full_order_stats(program, spec)
-    trace = run_with_exposure(program, data, spec, stats)
+    # No branch statistics: every branch runs at the full max_order.
+    trace = run_with_exposure(program, data, spec)
     res = trace.result
     records = trace.deduped(identity)
     state = "halted" if res.halted else (
@@ -331,7 +340,7 @@ def _cmd_oracle(args) -> int:
     try:
         outcome = enumerate_paths(
             program, data,
-            max_order=_setting(args, cfg, "max_order", 1),
+            max_order=_setting(args, cfg, "max_order", ORACLE_MAX_ORDER),
             window=_setting(args, cfg, "window", _DEFAULTS.window),
             stride=_setting(args, cfg, "stride", _DEFAULTS.stride),
             identity=identity,
@@ -384,8 +393,6 @@ def _add_spec_flags(p: _Parser) -> None:
                    help="window accounting chunk size")
     p.add_argument("--max-order", dest="max_order", type=int, default=None,
                    help="maximum nesting order")
-    p.add_argument("--order-base", dest="order_base", type=int, default=None,
-                   help="base of the nesting order schedule")
     p.add_argument("--identity", choices=IDENTITY_MODES, default=None,
                    help="violation identity mode")
     p.add_argument("--config", default=None, help="key=value config file")
@@ -426,6 +433,8 @@ def build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=None,
                    help="split the runs over this many deterministic shards")
     p.add_argument("--max-len", dest="max_len", type=int, default=None)
+    p.add_argument("--order-base", dest="order_base", type=int, default=None,
+                   help="base of the nesting order schedule")
     _add_spec_flags(p)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(fn=_cmd_fuzz)

@@ -32,7 +32,8 @@ from .machine import A_REDZONE, F_JTAB, F_RET
 KIND_DATA = "data-oob"
 KIND_CODE = "code-ptr"
 
-IDENTITY_MODES = ("offset", "raw")
+DEFAULT_IDENTITY = "offset"
+IDENTITY_MODES = (DEFAULT_IDENTITY, "raw")
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class ViolationRecord:
     run: int = 0
     detail: str = ""
 
-    def identity(self, mode: str = "offset") -> tuple:
+    def identity(self, mode: str = DEFAULT_IDENTITY) -> tuple:
         """Stable location identity: allocation-relative when a referent is
         known, raw address otherwise."""
         if mode not in IDENTITY_MODES:
@@ -104,7 +105,7 @@ class ViolationRecord:
             raise ValueError(f"malformed record field: {e}") from None
 
 
-def dedup_key(v: ViolationRecord, mode: str = "offset") -> tuple:
+def dedup_key(v: ViolationRecord, mode: str = DEFAULT_IDENTITY) -> tuple:
     """(offending, kind, identity): two records with the same key describe
     the same vulnerable access."""
     return (v.offending, v.kind, v.identity(mode))
@@ -120,10 +121,6 @@ class SpecContext:
     wlog: list[tuple[int, bytes]] = field(default_factory=list)
     input_id: str | None = None
     run_serial: int = 0
-
-    @property
-    def order(self) -> int:
-        return len(self.branches)
 
     def on_speculative_access(self, offending: str, kind: int, addr: int,
                               referent, offset) -> bool:
@@ -167,6 +164,6 @@ class SpecContext:
 
 
 __all__ = [
-    "KIND_DATA", "KIND_CODE", "IDENTITY_MODES",
+    "KIND_DATA", "KIND_CODE", "DEFAULT_IDENTITY", "IDENTITY_MODES",
     "ViolationRecord", "SpecContext", "dedup_key",
 ]

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .detect import SpecContext, ViolationRecord, dedup_key
+from .detect import DEFAULT_IDENTITY, SpecContext, ViolationRecord, dedup_key
 from .isa import Program
 from .machine import (
     DEFAULT_MAX_STEPS,
@@ -77,7 +77,6 @@ from .machine import (
     Fault,
     F_STEP,
     Machine,
-    MemLayout,
     RunResult,
     _result,
 )
@@ -182,7 +181,7 @@ class RunTrace:
     spec_steps: int
     retired: dict[str, int] = field(default_factory=dict)
 
-    def deduped(self, mode: str = "offset") -> list[ViolationRecord]:
+    def deduped(self, mode: str = DEFAULT_IDENTITY) -> list[ViolationRecord]:
         seen = set()
         out = []
         for r in self.records:
@@ -204,11 +203,9 @@ class ExposureEngine:
     """
 
     def __init__(self, program: Program | ExecImage,
-                 config: SpecConfig | None = None,
-                 layout: MemLayout | None = None):
+                 config: SpecConfig | None = None):
         self.image = program if isinstance(program, ExecImage) else ExecImage(program)
         self.cfg = config or SpecConfig()
-        self.layout = layout
         # What every speculative path reads, bound once for all of them.
         image = self.image
         self._tree = (image.handlers, image.kinds, image.br, image.block_lens,
@@ -354,7 +351,7 @@ class ExposureEngine:
         code = image.code
         kinds = image.kinds
         handlers = image.handlers
-        m = Machine(image, b"", self.layout)
+        m = Machine(image, b"")
         edges: set[tuple[int, int]] = set()
         cur_block = image.entry_block
         steps = 0
@@ -441,10 +438,9 @@ class ExposureEngine:
 def run_with_exposure(program: Program | ExecImage, input_bytes: bytes = b"",
                       config: SpecConfig | None = None,
                       stats: BranchStats | None = None,
-                      input_id: str | None = None, run_serial: int = 0,
-                      layout: MemLayout | None = None) -> RunTrace:
+                      input_id: str | None = None, run_serial: int = 0) -> RunTrace:
     """Run one input with speculation exposure and return its trace."""
-    return ExposureEngine(program, config, layout).run(
+    return ExposureEngine(program, config).run(
         input_bytes, stats, input_id, run_serial)
 
 

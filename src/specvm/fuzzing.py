@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .artifacts import write_json, write_lines
-from .detect import dedup_key
+from .detect import DEFAULT_IDENTITY, dedup_key
 from .engine import BranchStats, ExposureEngine, SpecConfig
 from .isa import Program
 from .machine import ExecImage
@@ -61,7 +61,7 @@ class FuzzConfig:
     seed: int = 0
     workers: int = 1
     max_len: int = 64
-    identity: str = "offset"
+    identity: str = DEFAULT_IDENTITY
     spec: SpecConfig = field(default_factory=SpecConfig)
 
     def __post_init__(self):

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 # machine.run_architectural through their modules, so that wrappers
 # installed on those modules (the benchmark's tracer) see the calls.
 from . import engine, machine
+from .detect import dedup_key
 from .isa import (
     INVERSE_CC,
     BasicBlock,
@@ -253,13 +254,12 @@ def verify_hardening(original: Program, result: HardenResult,
     same final state, ignoring the two reserved registers and the stack
     region (return slots encode instruction positions, which instrumenting
     shifts).  Residual exposure: the hardened program is run with full
-    simulation depth on every input and all surviving violation keys
-    (offset identity) are reported.
+    simulation depth, every branch at ``max_order``, on every input and
+    the dedup keys of all surviving violations are reported.
     """
     cfg = config or engine.SpecConfig()
     mismatches = []
     residual: set = set()
-    stats = engine.full_order_stats(result.program, cfg)
     original_image = machine.ExecImage(original)
     hardened_image = machine.ExecImage(result.program)
     for inp in inputs:
@@ -269,9 +269,8 @@ def verify_hardening(original: Program, result: HardenResult,
         fh = rh.state_fingerprint(skip_regs=(MASK_REG, SCRATCH_REG), skip_stack=True)
         if fa != fh or (ra.fault is None) != (rh.fault is None):
             mismatches.append(inp)
-        trace = engine.run_with_exposure(hardened_image, inp, cfg, stats)
-        for rec in trace.records:
-            residual.add((rec.offending, rec.kind, rec.identity()))
+        trace = engine.run_with_exposure(hardened_image, inp, cfg)
+        residual.update(dedup_key(rec) for rec in trace.records)
     return {
         "preserved": not mismatches,
         "mismatches": mismatches,

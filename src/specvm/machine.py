@@ -1,11 +1,21 @@
 """Architectural interpreter: memory, redzone allocator, access rules, step.
 
-Memory layout (configurable through MemLayout, defaults shown)::
+Memory layout: one fixed address space, whose bounds are the module
+constants below::
 
-    [0x0000_0000, 0x0000_1000)   scratch page, always mapped, always writable
-    [0x0001_0000, ...        )   static data from the program's data directive
-    [0x0002_0000, 0x0003_0000)   VM stack, grows down, holds return slots
-    [0x0010_0000, +64 MiB    )   heap, bump-allocated, 16-byte redzones
+    SCRATCH_BASE     0x0000_0000  scratch page of SCRATCH_SIZE (4 KiB),
+                                  always mapped, always writable
+    STATIC_BASE      0x0001_0000  static data from the program's data
+                                  directive
+    STACK_LO         0x0002_0000  VM stack up to STACK_HI (0x0003_0000),
+                                  grows down, holds return slots
+    HEAP_BASE        0x0010_0000  heap up to HEAP_CEILING (+64 MiB),
+                                  bump-allocated, with a redzone band of
+                                  REDZONE (16) bytes on each side of an
+                                  allocation
+    REFERENT_WINDOW  4096         how far an out-of-bounds access may lie
+                                  from its referent, the nearest live
+                                  allocation
 
 Every LOAD/STORE is 8 bytes wide and classified before it completes:
 VALID / SCRATCH accesses proceed, anything else is an out-of-bounds
@@ -92,23 +102,16 @@ _PAGE = 4096
 DEFAULT_MAX_STEPS = 100_000
 
 
-@dataclass(frozen=True)
-class MemLayout:
-    scratch_base: int = 0
-    scratch_size: int = 4096
-    static_base: int = 0x1_0000
-    stack_lo: int = 0x2_0000
-    stack_hi: int = 0x3_0000
-    heap_base: int = 0x10_0000
-    heap_ceiling: int = 0x10_0000 + 64 * 1024 * 1024
-    redzone: int = 16
-    referent_window: int = 4096
-
-    def __post_init__(self):
-        if self.stack_lo >= self.stack_hi:
-            raise ValueError("empty stack region")
-        if self.heap_base >= self.heap_ceiling:
-            raise ValueError("empty heap region")
+# The address space (see the module docstring).
+SCRATCH_BASE = 0
+SCRATCH_SIZE = 4096
+STATIC_BASE = 0x1_0000
+STACK_LO = 0x2_0000
+STACK_HI = 0x3_0000
+HEAP_BASE = 0x10_0000
+HEAP_CEILING = HEAP_BASE + 64 * 1024 * 1024
+REDZONE = 16
+REFERENT_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -136,18 +139,18 @@ class Fault:
 class AllocationTable:
     """Bump allocator with redzones; nothing is ever freed.
 
-    Each allocation starts at least size + redzone bytes after the previous
-    one, and restore() only drops the newest allocations, so ``bases`` is
-    strictly increasing and no allocation's redzone band reaches into a
-    later allocation.  Machine's access classification bisects ``bases``
-    and relies on both properties.
+    Allocations are made from HEAP_BASE up to HEAP_CEILING.  Each starts at
+    least size + REDZONE bytes after the previous one, and a rollback only
+    drops the newest allocations, so ``bases`` is strictly increasing and
+    no allocation's redzone band reaches into a later allocation.
+    Machine's access classification bisects ``bases`` and relies on both
+    properties.
     """
 
-    __slots__ = ("layout", "bump", "recs", "bases")
+    __slots__ = ("bump", "recs", "bases")
 
-    def __init__(self, layout: MemLayout):
-        self.layout = layout
-        self.bump = layout.heap_base
+    def __init__(self):
+        self.bump = HEAP_BASE
         self.recs: list[tuple[int, int]] = []  # (base, size)
         self.bases: list[int] = []  # recs[i][0], kept for bisection
 
@@ -157,21 +160,13 @@ class AllocationTable:
         if size < 1:
             size = 1
         base = self.bump
-        advance = (size + self.layout.redzone + 15) & ~15
-        if base + advance > self.layout.heap_ceiling:
+        advance = (size + REDZONE + 15) & ~15
+        if base + advance > HEAP_CEILING:
             return None
         self.bump = base + advance
         self.recs.append((base, size))
         self.bases.append(base)
         return base
-
-    def snapshot(self) -> tuple[int, int]:
-        return (self.bump, len(self.recs))
-
-    def restore(self, snap: tuple[int, int]) -> None:
-        self.bump, n = snap
-        del self.recs[n:]
-        del self.bases[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +256,7 @@ class ExecImage:
     __slots__ = (
         "program", "code", "iid_of", "iid_str", "blocks", "block_of",
         "block_starts", "block_lens", "kinds", "br", "handlers",
-        "fn_entry", "entry_block", "n_blocks",
+        "fn_entry", "entry_block",
     )
 
     def __init__(self, program: Program):
@@ -309,7 +304,6 @@ class ExecImage:
         self.handlers: list = [_make_handler(self, pc) for pc in range(len(self.code))]
 
         self.entry_block = self.fn_entry[program.entry]
-        self.n_blocks = len(self.blocks)
 
     def _decode(self, fn: str, ins, block_index) -> tuple:
         op = ins.op
@@ -685,7 +679,7 @@ def _make_handler(image: ExecImage, pc: int):
 
         def call(m, ctx):
             new_sp = m.sp - 8
-            if new_sp < m.layout.stack_lo:
+            if new_sp < STACK_LO:
                 m.entered_block = -1
                 return m._fault(ctx, F_STACK, pc, 0)
             m.raw_write8(new_sp, ret_word, ctx.wlog if ctx is not None else None)
@@ -700,7 +694,7 @@ def _make_handler(image: ExecImage, pc: int):
         def ret(m, ctx):
             m.entered_block = -1
             sp = m.sp
-            if sp >= m.layout.stack_hi:
+            if sp >= STACK_HI:
                 return m._fault(ctx, F_RET, pc, 0)
             value = m.raw_read8(sp)
             target = _ret_target(value, n_code)
@@ -743,32 +737,32 @@ def _make_handler(image: ExecImage, pc: int):
 class Machine:
     """One VM instance: registers, flags, memory pages, allocator, stack.
 
-    ``fork`` copies a machine for a new input.  The copy shares only what
-    never changes during a run (the image and the layout); registers,
-    flags, pc, sp, every page and the allocation table are its own.
+    Every machine has the address space of the module constants.  ``fork``
+    copies a machine for a new input.  The copy shares only what never
+    changes during a run, the image; registers, flags, pc, sp, every page
+    and the allocation table are its own.
     """
 
     __slots__ = (
-        "image", "layout", "input", "regs", "fa", "fb", "pc", "sp",
+        "image", "input", "regs", "fa", "fb", "pc", "sp",
         "halted", "pages", "alloc", "fault", "entered_block",
     )
 
-    def __init__(self, image: ExecImage, input_bytes: bytes, layout: MemLayout | None = None):
+    def __init__(self, image: ExecImage, input_bytes: bytes):
         self.image = image
-        self.layout = layout or MemLayout()
         self.input = input_bytes
         self.regs = [0] * 16
         self.fa = 0
         self.fb = 0
         self.pc = image.block_starts[image.entry_block]
-        self.sp = self.layout.stack_hi
+        self.sp = STACK_HI
         self.halted = False
         self.pages: dict[int, bytearray] = {}
-        self.alloc = AllocationTable(self.layout)
+        self.alloc = AllocationTable()
         self.fault: Fault | None = None
         self.entered_block = -1
         if image.program.data:
-            self._blit(self.layout.static_base, image.program.data)
+            self._blit(STATIC_BASE, image.program.data)
 
     def fork(self, input_bytes: bytes) -> "Machine":
         """A machine in this one's state that reads input_bytes, with
@@ -776,7 +770,6 @@ class Machine:
         no fault and no block just entered."""
         m = Machine.__new__(Machine)
         m.image = self.image
-        m.layout = self.layout
         m.input = input_bytes
         m.regs = self.regs[:]
         m.fa = self.fa
@@ -787,7 +780,6 @@ class Machine:
         m.pages = {no: bytearray(page) for no, page in self.pages.items()}
         src = self.alloc
         alloc = m.alloc = AllocationTable.__new__(AllocationTable)
-        alloc.layout = src.layout
         alloc.bump = src.bump
         alloc.recs = src.recs[:]
         alloc.bases = src.bases[:]
@@ -868,14 +860,13 @@ class Machine:
         return AccessClass(kind, ref, off)
 
     def _classify(self, addr: int, width: int):
-        lay = self.layout
         end = addr + width
         recs = self.alloc.recs
         # i is the ordinal of the first allocation based above addr, the
         # successor; i - 1 is the predecessor.  Every allocation lies at or
         # above the heap base, so a lower address has allocation 0 as its
         # successor.
-        if addr >= lay.heap_base:
+        if addr >= HEAP_BASE:
             i = bisect_right(self.alloc.bases, addr)
             # Fully inside an allocation?  Only the predecessor can hold it.
             if i:
@@ -883,13 +874,13 @@ class Machine:
                 if end <= base + size:
                     return A_VALID, None, None
         else:
-            if addr >= lay.stack_lo:
-                if end <= lay.stack_hi:
+            if addr >= STACK_LO:
+                if end <= STACK_HI:
                     return A_VALID, None, None
-            elif addr >= lay.static_base:
-                if end <= lay.static_base + len(self.image.program.data):
+            elif addr >= STATIC_BASE:
+                if end <= STATIC_BASE + len(self.image.program.data):
                     return A_VALID, None, None
-            elif addr >= lay.scratch_base and end <= lay.scratch_base + lay.scratch_size:
+            elif addr >= SCRATCH_BASE and end <= SCRATCH_BASE + SCRATCH_SIZE:
                 return A_SCRATCH, None, None
             i = 0
         # Nearest live allocation within the referent window.  Allocations
@@ -898,7 +889,7 @@ class Machine:
         # overlaps the predecessor or else the successor first.  On equal
         # distance the lower ordinal wins.
         best = None
-        best_d = lay.referent_window + 1
+        best_d = REFERENT_WINDOW + 1
         for ordn in (i - 1, i):
             if ordn < 0 or ordn >= len(recs):
                 continue
@@ -912,7 +903,7 @@ class Machine:
             if d < best_d:
                 best_d = d
                 best = (ordn, base, size)
-        if best is not None and best_d <= lay.redzone:
+        if best is not None and best_d <= REDZONE:
             return A_REDZONE, best, addr - best[1]
         if best is not None:
             return A_UNMAPPED, best, addr - best[1]
@@ -926,7 +917,7 @@ class Machine:
         base, so only allocations from that predecessor up to the last one
         whose lower band starts within the 8 bytes can touch the read.
         """
-        rz = self.layout.redzone
+        rz = REDZONE
         alloc = self.alloc
         bases = alloc.bases
         end = addr + 8
@@ -997,8 +988,7 @@ class RunResult:
         regs = tuple(v for i, v in enumerate(self.regs) if i not in skip_regs)
         pages = self.machine.canonical_memory()
         if skip_stack:
-            lay = self.machine.layout
-            lo, hi = lay.stack_lo >> 12, (lay.stack_hi - 1) >> 12
+            lo, hi = STACK_LO >> 12, (STACK_HI - 1) >> 12
             pages = {no: b for no, b in pages.items() if not lo <= no <= hi}
         mem = tuple(sorted(pages.items()))
         allocs = tuple(self.machine.alloc.recs)
@@ -1016,12 +1006,11 @@ def run_architectural(
     program: Program | ExecImage,
     input_bytes: bytes = b"",
     max_steps: int = DEFAULT_MAX_STEPS,
-    layout: MemLayout | None = None,
 ) -> RunResult:
     """Run a program with plain architectural semantics to HALT, fault, or
     the step limit."""
     image = program if isinstance(program, ExecImage) else ExecImage(program)
-    m = Machine(image, input_bytes, layout)
+    m = Machine(image, input_bytes)
     steps = 0
     fault = None
     handlers = image.handlers
@@ -1042,7 +1031,9 @@ __all__ = [
     "A_VALID", "A_SCRATCH", "A_REDZONE", "A_UNMAPPED",
     "F_OOB", "F_DIV", "F_JTAB", "F_RET", "F_STACK", "F_HEAP", "F_STEP",
     "OUT_OK", "OUT_HALT", "OUT_FAULT",
-    "MemLayout", "AccessClass", "Fault", "AllocationTable", "ExecImage",
+    "SCRATCH_BASE", "SCRATCH_SIZE", "STATIC_BASE", "STACK_LO", "STACK_HI",
+    "HEAP_BASE", "HEAP_CEILING", "REDZONE", "REFERENT_WINDOW",
+    "AccessClass", "Fault", "AllocationTable", "ExecImage",
     "Machine", "RunResult", "run_architectural", "RET_ENC_BASE",
     "DEFAULT_MAX_STEPS", "K_PLAIN", "K_FENCE", "K_RET", "K_BR", "K_CALL",
     "K_JUMP", "KIND_OF_OP",

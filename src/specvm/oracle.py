@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detect import SpecContext, ViolationRecord
+from .detect import DEFAULT_IDENTITY, SpecContext, ViolationRecord
 from .engine import (
     DEFAULT_STRIDE,
     DEFAULT_WINDOW,
@@ -45,10 +45,10 @@ from .machine import (
     OUT_HALT,
     ExecImage,
     Machine,
-    MemLayout,
 )
 
 SCRIPT_LIMIT = 1 << 16
+ORACLE_MAX_ORDER = 1
 
 
 class OracleError(RuntimeError):
@@ -144,11 +144,11 @@ def _run_script(m: Machine, root: str, occurrence: int, forced: tuple[int, ...],
 
 
 def enumerate_paths(program: Program | ExecImage, input_bytes: bytes = b"",
-                    max_order: int = 1, window: int = DEFAULT_WINDOW,
-                    stride: int = DEFAULT_STRIDE,
-                    max_steps: int = DEFAULT_MAX_STEPS, identity: str = "offset",
-                    script_limit: int = SCRIPT_LIMIT,
-                    layout: MemLayout | None = None) -> OracleOutcome:
+                    max_order: int = ORACLE_MAX_ORDER,
+                    window: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE,
+                    max_steps: int = DEFAULT_MAX_STEPS,
+                    identity: str = DEFAULT_IDENTITY,
+                    script_limit: int = SCRIPT_LIMIT) -> OracleOutcome:
     """Enumerate every speculative path up to max_order nested inversions and
     return the union of violations along with per-script outcomes."""
     image = program if isinstance(program, ExecImage) else ExecImage(program)
@@ -159,7 +159,7 @@ def enumerate_paths(program: Program | ExecImage, input_bytes: bytes = b"",
     scripts: list[ScriptOutcome] = []
     seen: dict[str, int] = {}
     code = image.code
-    m = Machine(image, input_bytes, layout)
+    m = Machine(image, input_bytes)
     steps = 0
     while steps < max_steps:
         pc = m.pc
@@ -191,6 +191,6 @@ def enumerate_paths(program: Program | ExecImage, input_bytes: bytes = b"",
 
 
 __all__ = [
-    "SCRIPT_LIMIT", "OracleError", "ScriptOutcome", "OracleOutcome",
-    "enumerate_paths",
+    "SCRIPT_LIMIT", "ORACLE_MAX_ORDER", "OracleError", "ScriptOutcome",
+    "OracleOutcome", "enumerate_paths",
 ]

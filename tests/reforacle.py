@@ -35,9 +35,9 @@ from specvm.machine import (
 from specvm.oracle import SCRIPT_LIMIT, OracleError, OracleOutcome, ScriptOutcome
 
 
-def _arch_roots(image, input_bytes, max_steps, layout):
+def _arch_roots(image, input_bytes, max_steps):
     """Every (branch iid, occurrence) executed architecturally, in order."""
-    m = Machine(image, input_bytes, layout)
+    m = Machine(image, input_bytes)
     roots = []
     seen = {}
     code = image.code
@@ -56,10 +56,10 @@ def _arch_roots(image, input_bytes, max_steps, layout):
 
 
 def _run_script(image, input_bytes, root, occurrence, forced, window, stride,
-                max_steps, layout):
+                max_steps):
     """Re-execute from program start, invert the root's outcome at its given
     occurrence, then follow the speculative path applying the script."""
-    m = Machine(image, input_bytes, layout)
+    m = Machine(image, input_bytes)
     code = image.code
     iid_str = image.iid_str
 
@@ -144,7 +144,7 @@ def _run_script(image, input_bytes, root, occurrence, forced, window, stride,
 def reference_enumerate(program, input_bytes=b"", max_order=1,
                         window=DEFAULT_WINDOW, stride=DEFAULT_STRIDE,
                         max_steps=DEFAULT_MAX_STEPS, identity="offset",
-                        script_limit=SCRIPT_LIMIT, layout=None):
+                        script_limit=SCRIPT_LIMIT):
     image = program if isinstance(program, ExecImage) else ExecImage(program)
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -152,7 +152,7 @@ def reference_enumerate(program, input_bytes=b"", max_order=1,
     keys = set()
     scripts = []
     total = 0
-    for root, occurrence in _arch_roots(image, input_bytes, max_steps, layout):
+    for root, occurrence in _arch_roots(image, input_bytes, max_steps):
         frontier = [()]
         while frontier:
             forced = frontier.pop()
@@ -160,8 +160,7 @@ def reference_enumerate(program, input_bytes=b"", max_order=1,
             if total > script_limit:
                 raise OracleError("enumeration-too-large")
             outcome, recs = _run_script(image, input_bytes, root, occurrence,
-                                        forced, window, stride, max_steps,
-                                        layout)
+                                        forced, window, stride, max_steps)
             scripts.append(outcome)
             for r in recs:
                 k = (r.offending, r.branches, r.kind, r.identity(identity))

@@ -1,7 +1,7 @@
 """Reference exposed run: the run loop without a start snapshot.
 
 ``reference_run(engine, data, ...)`` does what ``ExposureEngine.run`` must:
-it starts from a fresh ``Machine(image, data, layout)`` at the entry block,
+it starts from a fresh ``Machine(image, data)`` at the entry block,
 with no steps and no edges, and drives the engine's own ``_spec_run`` at
 every conditional branch.  It shares the trees with the engine and nothing
 of the start state, so tests/test_snapshot.py can check that starting every
@@ -26,7 +26,7 @@ def reference_run(engine, input_bytes: bytes, stats=None,
                   input_id: str | None = None, run_serial: int = 0) -> RunTrace:
     cfg = engine.cfg
     image = engine.image
-    m = engine.m = Machine(image, input_bytes, engine.layout)
+    m = engine.m = Machine(image, input_bytes)
     ctx = engine.ctx = SpecContext(input_id=input_id, run_serial=run_serial)
     engine.checkpoints = []
     engine.spec_steps = 0

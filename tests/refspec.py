@@ -29,6 +29,18 @@ from specvm.engine import (
 from specvm.machine import O_BR, O_CALL, O_FENCE, O_RET, OUT_FAULT, OUT_HALT
 
 
+def alloc_snapshot(alloc) -> tuple[int, int]:
+    """The state of an AllocationTable that alloc_restore returns it to."""
+    return (alloc.bump, len(alloc.recs))
+
+
+def alloc_restore(alloc, snap: tuple[int, int]) -> None:
+    """Drop the allocations made since alloc_snapshot returned snap."""
+    alloc.bump, n = snap
+    del alloc.recs[n:]
+    del alloc.bases[n:]
+
+
 def force_branch(m, flat: int, invert: bool) -> int:
     """Move pc to the BR's outcome (or its inverse); returns target block."""
     _, cc, tb, fb, _ = m.image.code[flat]
@@ -49,7 +61,7 @@ class ReferenceEngine(ExposureEngine):
         m = self.m
         self.checkpoints.append((
             m.regs[:], m.fa, m.fb, m.pc, m.sp, m.halted,
-            m.alloc.snapshot(), len(self.ctx.wlog),
+            alloc_snapshot(m.alloc), len(self.ctx.wlog),
         ))
         self.ctx.branches.append(branch_iid)
 
@@ -67,7 +79,7 @@ class ReferenceEngine(ExposureEngine):
         m.regs[:] = regs
         m.fa, m.fb, m.pc, m.sp, m.halted = fa, fb, pc, sp, halted
         m.fault = None
-        m.alloc.restore(asnap)
+        alloc_restore(m.alloc, asnap)
         self.ctx.branches.pop()
 
     def _spec_run(self, depth: int, order: int, pc: int, counter: int,

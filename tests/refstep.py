@@ -50,6 +50,8 @@ from specvm.machine import (
     OUT_FAULT,
     OUT_HALT,
     OUT_OK,
+    STACK_HI,
+    STACK_LO,
     AccessClass,
     Fault,
 )
@@ -169,7 +171,7 @@ def reference_step(self, ctx=None) -> int:
         regs[a] = base
     elif op == O_CALL:
         new_sp = self.sp - 8
-        if new_sp < self.layout.stack_lo:
+        if new_sp < STACK_LO:
             return _fault(self, ctx, F_STACK, pc, 0)
         self.raw_write8(new_sp, image.encode_ret(pc + 1), ctx.wlog if ctx is not None else None)
         self.sp = new_sp
@@ -178,7 +180,7 @@ def reference_step(self, ctx=None) -> int:
         self.entered_block = bi
         return OUT_OK
     elif op == O_RET:
-        if self.sp >= self.layout.stack_hi:
+        if self.sp >= STACK_HI:
             return _fault(self, ctx, F_RET, pc, 0)
         value = self.raw_read8(self.sp)
         target = image.decode_ret(value)

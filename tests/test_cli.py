@@ -51,6 +51,8 @@ def test_asm_emits_canonical_text(g01, tmp_path, capsys):
 def test_asm_print_layout(g01, capsys):
     assert main(["asm", g01, "--print-layout"]) == 0
     text = capsys.readouterr().out
+    assert "stack    [0x20000, 0x30000)\n" in text
+    assert "heap     [0x100000, 0x4100000) redzone 16\n" in text
     assert "blocks:" in text and "main:access" in text
 
 
@@ -103,6 +105,15 @@ def test_run_rejects_conflicting_inputs(g01, capsys):
 
 def test_run_rejects_bad_hex(g01, capsys):
     assert main(["run", g01, "--input", "zz"]) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_order_base_is_a_fuzz_flag_only(command, g01, capsys):
+    # Neither command has a nesting order schedule for the base to shape.
+    with pytest.raises(SystemExit) as ei:
+        main([command, g01, "--order-base", "3"])
+    assert ei.value.code == 1
+    assert "unrecognized arguments: --order-base 3" in capsys.readouterr().err
 
 
 def test_missing_program_file_exits_1(capsys):

@@ -121,6 +121,9 @@ def test_resource_faults_stay_silent():
 
 def test_context_order_tracks_branch_stack():
     ctx = SpecContext()
-    assert ctx.order == 0
     ctx.branches += ["a:b:0", "c:d:1"]
-    assert ctx.order == 2
+    ctx.on_speculative_access("main:e:0", A_REDZONE, 0x100040, (0, 0x100000, 64), 64)
+    ctx.branches.pop()
+    ctx.on_speculative_fault("main:e:1", F_RET, 7)
+    assert [(r.branches, r.order) for r in ctx.records] == [
+        (("a:b:0", "c:d:1"), 2), (("a:b:0",), 1)]

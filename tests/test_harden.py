@@ -160,3 +160,16 @@ def test_verify_hardening_decodes_each_program_once(n_inputs, monkeypatch):
     report = verify_hardening(g.program, result, inputs)
     assert report["preserved"]
     assert built == [g.program, result.program]
+
+
+@pytest.mark.parametrize("gid", [11, 13, 17])
+def test_verify_hardening_runs_every_input_at_full_order(gid):
+    # The leak needs two nested mispredictions and survives hardening with
+    # every branch whitelisted; verification finds it whichever input runs
+    # first.
+    g = builtin_gadget(gid)
+    assert g.expected.min_order == 2
+    result = fence_pass(g.program, {str(i) for i in g.program.branch_ids()})
+    assert result.summary["branches_hardened"] == 0
+    report = verify_hardening(g.program, result, [g.safe, g.trigger])
+    assert g.expected.offending in {key[0] for key in report["residual_keys"]}

@@ -2,9 +2,9 @@
 
 import gc
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
+from refspec import alloc_restore, alloc_snapshot
 from specvm.gadgets import builtin_gadget, gadget_ids
 from specvm.isa import parse_program
 from specvm.machine import (
@@ -18,11 +18,19 @@ from specvm.machine import (
     F_RET,
     F_STACK,
     F_STEP,
+    HEAP_BASE,
+    HEAP_CEILING,
+    REDZONE,
+    REFERENT_WINDOW,
     RET_ENC_BASE,
+    SCRATCH_BASE,
+    SCRATCH_SIZE,
+    STACK_HI,
+    STACK_LO,
+    STATIC_BASE,
     AccessClass,
     ExecImage,
     Machine,
-    MemLayout,
     run_architectural,
 )
 
@@ -97,19 +105,17 @@ def test_read_past_static_end_faults():
 
 
 def test_stack_region_is_directly_addressable():
-    lay = MemLayout()
-    r = run_src(f"fn main:\ne:\n  const r0, {lay.stack_lo + 0xFFC}\n"
+    r = run_src(f"fn main:\ne:\n  const r0, {STACK_LO + 0xFFC}\n"
                 "  const r1, -1\n  store r1, r0, 0\n  load r2, r0, 0\n  halt\n")
     assert r.regs[2] == (1 << 64) - 1  # write straddles a page boundary
 
 
 def test_alloc_bases_are_aligned_and_spaced():
     m = machine_for("fn main:\ne:\n  halt\n")
-    lay = m.layout
     b0 = m.alloc.alloc(64)
     b1 = m.alloc.alloc(8)
     b2 = m.alloc.alloc(0)  # clamps to size 1
-    assert b0 == lay.heap_base
+    assert b0 == HEAP_BASE
     assert b1 == b0 + 80  # round_up(64 + 16, 16)
     assert b2 == b1 + 32  # round_up(8 + 16, 16)
     assert m.alloc.recs == [(b0, 64), (b1, 8), (b2, 1)]
@@ -156,23 +162,22 @@ def test_redzone_zeroed_read_masks_only_redzone_bytes():
 # examined, so they need no assumption about allocation order.
 
 def _linear_classify(m, addr, width):
-    lay = m.layout
     end = addr + width
     recs = m.alloc.recs
-    if addr >= lay.heap_base:
+    if addr >= HEAP_BASE:
         for base, size in recs:
             if base <= addr and end <= base + size:
                 return A_VALID, None, None
-    elif addr >= lay.stack_lo:
-        if end <= lay.stack_hi:
+    elif addr >= STACK_LO:
+        if end <= STACK_HI:
             return A_VALID, None, None
-    elif addr >= lay.static_base:
-        if end <= lay.static_base + len(m.image.program.data):
+    elif addr >= STATIC_BASE:
+        if end <= STATIC_BASE + len(m.image.program.data):
             return A_VALID, None, None
-    elif addr >= lay.scratch_base and end <= lay.scratch_base + lay.scratch_size:
+    elif addr >= SCRATCH_BASE and end <= SCRATCH_BASE + SCRATCH_SIZE:
         return A_SCRATCH, None, None
     best = None
-    best_d = lay.referent_window + 1
+    best_d = REFERENT_WINDOW + 1
     for ordn, (base, size) in enumerate(recs):
         if addr >= base + size:
             d = addr - (base + size - 1)
@@ -183,7 +188,7 @@ def _linear_classify(m, addr, width):
         if d < best_d:
             best_d = d
             best = (ordn, base, size)
-    if best is not None and best_d <= lay.redzone:
+    if best is not None and best_d <= REDZONE:
         return A_REDZONE, best, addr - best[1]
     if best is not None:
         return A_UNMAPPED, best, addr - best[1]
@@ -191,7 +196,7 @@ def _linear_classify(m, addr, width):
 
 
 def _linear_read8_redzone_zeroed(m, addr):
-    rz = m.layout.redzone
+    rz = REDZONE
     v = 0
     for i in range(8):
         a = addr + i
@@ -206,37 +211,36 @@ _sizes = st.lists(st.integers(min_value=0, max_value=80), max_size=10)
 
 
 @given(
-    redzone=st.sampled_from((0, 1, 16, 40)),
-    window=st.sampled_from((0, 7, 24, 4096)),
     kept=_sizes,
     dropped=_sizes,
     after=_sizes,
     width=st.sampled_from((8, 9, 16, 33, 64)),
 )
 @settings(max_examples=150, deadline=None)
-def test_bisect_classification_matches_linear_scan(redzone, window, kept, dropped,
-                                                   after, width):
-    lay = MemLayout(redzone=redzone, referent_window=window)
-    m = Machine(ExecImage(parse_program("fn main:\ne:\n  halt\n")), b"", lay)
+def test_bisect_classification_matches_linear_scan(kept, dropped, after, width):
+    m = machine_for("fn main:\ne:\n  halt\n")
     for size in kept:
         m.alloc.alloc(size)
-    snap = m.alloc.snapshot()
+    snap = alloc_snapshot(m.alloc)
     for size in dropped:
         m.alloc.alloc(size)
-    m.alloc.restore(snap)  # the table is truncated, then grows again
+    alloc_restore(m.alloc, snap)  # the table is truncated, then grows again
     for size in after:
         m.alloc.alloc(size)
     # Nonzero bytes everywhere near the heap, so any wrongly zeroed byte shows.
-    lo = lay.heap_base - 128
+    lo = HEAP_BASE - 128
     m._blit(lo, bytes((i * 37 + 1) & 0xFF or 1 for i in range(m.alloc.bump + 128 - lo)))
 
-    edges = {lay.heap_base - width - 1, lay.heap_base - 8, lay.heap_base - 1,
-             m.alloc.bump, m.alloc.bump + redzone, m.alloc.bump + window + width}
+    edges = {HEAP_BASE - width - 1, HEAP_BASE - 8, HEAP_BASE - 1,
+             m.alloc.bump, m.alloc.bump + REDZONE, m.alloc.bump + REFERENT_WINDOW + width}
     for base, size in m.alloc.recs:
         for edge in (base, base + size):
-            for delta in (-redzone - width - 1, -redzone - width, -redzone - 1,
-                          -redzone, -width - 1, -width, -8, -1, 0, 1, 7, 8,
-                          redzone - 1, redzone, redzone + 1):
+            for delta in (-REDZONE - width - 1, -REDZONE - width, -REDZONE - 1,
+                          -REDZONE, -width - 1, -width, -8, -1, 0, 1, 7, 8,
+                          REDZONE - 1, REDZONE, REDZONE + 1,
+                          # the referent window's edges above and below
+                          REFERENT_WINDOW - 1, REFERENT_WINDOW,
+                          -REFERENT_WINDOW - width, -REFERENT_WINDOW - width + 1):
                 edges.add(edge + delta)
     for addr in sorted(edges):
         want = _linear_classify(m, addr, width)
@@ -248,16 +252,20 @@ def test_bisect_classification_matches_linear_scan(redzone, window, kept, droppe
 def test_alloc_snapshot_restore():
     m = machine_for("fn main:\ne:\n  halt\n")
     m.alloc.alloc(8)
-    snap = m.alloc.snapshot()
+    snap = alloc_snapshot(m.alloc)
     m.alloc.alloc(8)
-    m.alloc.restore(snap)
-    assert len(m.alloc.recs) == 1 and m.alloc.bump == m.layout.heap_base + 32
+    alloc_restore(m.alloc, snap)
+    assert len(m.alloc.recs) == 1 and m.alloc.bump == HEAP_BASE + 32
 
 
 def test_heap_exhaustion_faults():
-    lay = MemLayout(heap_base=0x10_0000, heap_ceiling=0x10_0000 + 64)
-    r = run_src("fn main:\ne:\n  alloc r0, 64\n  halt\n", layout=lay)
+    heap = HEAP_CEILING - HEAP_BASE
+    r = run_src(f"fn main:\ne:\n  alloc r0, {heap}\n  halt\n")
     assert r.fault is not None and r.fault.kind == "heap-exhausted"
+    # The largest allocation that fits leaves no room for the next one.
+    r = run_src(f"fn main:\ne:\n  alloc r0, {heap - REDZONE}\n  alloc r1, 1\n  halt\n")
+    assert r.fault is not None and r.fault.kind == "heap-exhausted"
+    assert r.regs[0] == HEAP_BASE and r.machine.alloc.bump == HEAP_CEILING
 
 
 def test_oob_load_is_architectural_fault():
@@ -306,7 +314,7 @@ def test_call_ret_round_trip():
            "fn twice:\ne:\n  const r0, 10\n  ret\n")
     r = run_src(src)
     assert r.halted and r.regs[0] == 11
-    assert r.sp == MemLayout().stack_hi  # balanced
+    assert r.sp == STACK_HI  # balanced
 
 
 def test_ret_on_empty_stack_faults():
@@ -315,20 +323,18 @@ def test_ret_on_empty_stack_faults():
 
 
 def test_smashed_return_slot_faults():
-    lay = MemLayout()
     src = ("fn main:\ne:\n  call f\n  halt\n"
-           f"fn f:\ne:\n  const r0, {lay.stack_hi - 8}\n  const r1, 12345\n"
+           f"fn f:\ne:\n  const r0, {STACK_HI - 8}\n  const r1, 12345\n"
            "  store r1, r0, 0\n  ret\n")
     r = run_src(src)
     assert r.fault is not None and r.fault.kind == F_RET
 
 
 def test_stack_overflow_faults():
-    lay = MemLayout(stack_lo=0x2_0000, stack_hi=0x2_0008)  # one slot
-    src = ("fn main:\ne:\n  call a\n  halt\n"
-           "fn a:\ne:\n  call b\n  ret\nfn b:\ne:\n  ret\n")
-    r = run_src(src, layout=lay)
+    r = run_src("fn main:\ne:\n  call main\n  halt\n")
     assert r.fault is not None and r.fault.kind == F_STACK
+    # Every one of the stack's slots holds a return word before the fault.
+    assert r.sp == STACK_LO and r.steps == (STACK_HI - STACK_LO) // 8 + 1
 
 
 def test_step_limit_reports_fault():
@@ -388,14 +394,6 @@ def test_fingerprint_skip_options():
     full = r.state_fingerprint()
     no_r15 = r.state_fingerprint(skip_regs=(15,))
     assert full != no_r15
-    lay = MemLayout()
     kept = r.state_fingerprint(skip_stack=True)
     pages = {no for no, _ in kept[4]}
-    assert not any(lay.stack_lo >> 12 <= no <= (lay.stack_hi - 1) >> 12 for no in pages)
-
-
-def test_layout_rejects_empty_regions():
-    with pytest.raises(ValueError):
-        MemLayout(stack_lo=8, stack_hi=8)
-    with pytest.raises(ValueError):
-        MemLayout(heap_base=16, heap_ceiling=16)
+    assert not any(STACK_LO >> 12 <= no <= (STACK_HI - 1) >> 12 for no in pages)

@@ -10,12 +10,25 @@ from genprog import random_input, random_program
 from reforacle import reference_enumerate
 from specvm import cli
 from specvm.cli import build_parser
-from specvm.engine import SpecConfig, run_with_exposure
+from specvm.analyze import aggregate
+from specvm.detect import DEFAULT_IDENTITY, ViolationRecord, dedup_key
+from specvm.engine import RunTrace, SpecConfig, run_with_exposure
 from specvm.fuzzing import FuzzConfig, fuzz_loop
 from specvm.gadgets import builtin_gadget, gadget_ids
 from specvm.isa import parse_program
-from specvm.machine import DEFAULT_MAX_STEPS, ExecImage, Machine, run_architectural
-from specvm.oracle import SCRIPT_LIMIT, OracleError, enumerate_paths
+from specvm.machine import (
+    DEFAULT_MAX_STEPS,
+    STACK_HI,
+    ExecImage,
+    Machine,
+    run_architectural,
+)
+from specvm.oracle import (
+    ORACLE_MAX_ORDER,
+    SCRIPT_LIMIT,
+    OracleError,
+    enumerate_paths,
+)
 
 CENSUS = """\
 fn main:
@@ -163,7 +176,7 @@ def test_recursive_programs_nest_calls_on_both_paths():
             if m.step(None) != 0:
                 break
             lowest = min(lowest, m.sp)
-        nested += m.layout.stack_hi - lowest >= 3 * 8
+        nested += STACK_HI - lowest >= 3 * 8
         out = enumerate_paths(image, data, window=64, stride=16)
         spec_recursion += any(
             sum(b.endswith(":r") for b in block_names(image, s.blocks)) >= 2
@@ -204,7 +217,12 @@ def test_oracle_and_interpreter_defaults_match_the_engine(tmp_path, monkeypatch)
     oracle = inspect.signature(enumerate_paths).parameters
     for name in ("window", "stride", "max_steps"):
         assert oracle[name].default == getattr(cfg, name), name
-    assert oracle["identity"].default == FuzzConfig().identity
+    # One identity default, read by every caller that takes a mode.
+    assert FuzzConfig().identity == DEFAULT_IDENTITY
+    for fn, name in ((enumerate_paths, "identity"), (aggregate, "identity"),
+                     (ViolationRecord.identity, "mode"), (dedup_key, "mode"),
+                     (RunTrace.deduped, "mode")):
+        assert inspect.signature(fn).parameters[name].default == DEFAULT_IDENTITY, fn
     arch = inspect.signature(run_architectural).parameters
     assert arch["max_steps"].default == cfg.max_steps == DEFAULT_MAX_STEPS
     # The CLI's fallbacks come from the same sources.
@@ -221,3 +239,12 @@ def test_oracle_and_interpreter_defaults_match_the_engine(tmp_path, monkeypatch)
     monkeypatch.delenv("SVM_SEED", raising=False)
     assert cli.main(["fuzz", str(src)]) == 0
     assert seen == [FuzzConfig()]
+    calls = []
+
+    def recording(program, data, **kw):
+        calls.append(kw)
+        return enumerate_paths(program, data, **kw)
+    monkeypatch.setattr(cli, "enumerate_paths", recording)
+    assert cli.main(["oracle", str(src)]) == 0
+    assert oracle["max_order"].default == ORACLE_MAX_ORDER
+    assert calls == [{name: oracle[name].default for name in calls[0]}]

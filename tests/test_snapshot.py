@@ -15,6 +15,7 @@ import pytest
 
 from genprog import random_input, random_program
 from refrun import reference_run
+from refspec import alloc_restore
 from refstep import reference_step
 from specvm.engine import BranchStats, ExposureEngine, SpecConfig
 from specvm.gadgets import builtin_gadget, gadget_ids
@@ -26,9 +27,10 @@ from specvm.machine import (
     O_INPUTLEN,
     O_RET,
     OUT_OK,
+    STACK_HI,
+    STACK_LO,
     ExecImage,
     Machine,
-    MemLayout,
 )
 
 
@@ -38,13 +40,13 @@ def _trace_fields(t) -> tuple:
             t.max_order, t.arch_steps, t.spec_steps, t.retired)
 
 
-def check_runs(program, inputs, config=None, layout=None) -> None:
+def check_runs(program, inputs, config=None) -> None:
     """Run inputs in order through one engine and through the reference,
     each side with its own BranchStats fed the same history, and compare
     every trace."""
     image = ExecImage(program)
-    engine = ExposureEngine(image, config, layout)
-    ref = ExposureEngine(image, config, layout)
+    engine = ExposureEngine(image, config)
+    ref = ExposureEngine(image, config)
     stats, ref_stats = BranchStats(), BranchStats()
     for serial, data in enumerate(inputs):
         iid = f"in{serial}"
@@ -118,66 +120,68 @@ out:
   halt
 """
 
-# (name, source, config, layout): programs whose prefix ends in each way
+# (name, source, config): programs whose prefix ends in each way
 # it can end, and at each kind of control transfer.
 CORNERS = [
     ("halt", "fn main:\ne:\n  alloc r1, 16\n  const r2, 7\n  store r2, r1, 0\n"
-     "  halt\n", None, None),
+     "  halt\n", None),
     ("oob-store", "fn main:\ne:\n  alloc r1, 16\n  const r2, 7\n"
-     "  store r2, r1, 64\n  halt\n", None, None),
-    ("bad-ret", "fn main:\ne:\n  const r1, 3\n  ret\n", None, None),
+     "  store r2, r1, 64\n  halt\n", None),
+    ("bad-ret", "fn main:\ne:\n  const r1, 3\n  ret\n", None),
     ("div-zero", "fn main:\ne:\n  const r1, 9\n  const r2, 0\n  div r3, r1, r2\n"
-     "  halt\n", None, None),
+     "  halt\n", None),
     ("div-zero-imm", "fn main:\ne:\n  const r1, 9\n  div r3, r1, 0\n  halt\n",
-     None, None),
+     None),
     ("heap-exhausted", "fn main:\ne:\n  alloc r1, 16\n  alloc r2, 0x8000000\n"
-     "  halt\n", None, None),
+     "  halt\n", None),
     ("stack-overflow", "fn main:\ne:\n  const r1, 1\n  call main\n  halt\n",
-     None, MemLayout(stack_lo=0x2_0000, stack_hi=0x2_0040)),
+     None),
     ("max-steps-loop", "fn main:\ne:\n  add r1, r1, 1\n  jmp e\n",
-     SpecConfig(max_steps=50), None),
+     SpecConfig(max_steps=50)),
     ("max-steps-straight", "fn main:\ne:\n  const r1, 1\n  const r2, 2\n"
      "  const r3, 3\n  input r4, 0\n  cmp r4, 1\n  br eq, a, b\n"
-     "a:\n  halt\nb:\n  halt\n", SpecConfig(max_steps=2), None),
+     "a:\n  halt\nb:\n  halt\n", SpecConfig(max_steps=2)),
     ("max-steps-at-input", "fn main:\ne:\n  const r1, 1\n  const r2, 2\n"
      "  input r4, 0\n  cmp r4, 1\n  br eq, a, b\na:\n  halt\nb:\n  halt\n",
-     SpecConfig(max_steps=2), None),
+     SpecConfig(max_steps=2)),
     ("call-ret", "fn main:\ne:\n  call f\n  input r1, 0\n  cmp r1, 3\n"
      "  br lt, a, b\na:\n  load r2, r9, 0\n  halt\nb:\n  halt\n"
      "fn f:\ne:\n  alloc r9, 16\n  const r2, 5\n  store r2, r9, 8\n  ret\n",
-     None, None),
+     None),
     ("jmp", "fn main:\ne:\n  const r1, 1\n  jmp n\nn:\n  alloc r2, 8\n  jmp m\n"
      "m:\n  inputlen r3\n  cmp r3, 2\n  br gt, a, b\na:\n  load r4, r2, 16\n"
-     "  halt\nb:\n  halt\n", None, None),
+     "  halt\nb:\n  halt\n", None),
     ("inputlen-first", "fn main:\ne:\n  inputlen r1\n  const r2, 0\n"
      "  cmp r1, 2\n  br ge, a, b\na:\n  load r3, r2, 0x2000\n  halt\nb:\n  halt\n",
-     None, None),
-    ("prefix-state", PREFIX_STATE, None, None),
-    ("heap-walk", heap_walk_source(), None, None),
+     None),
+    ("prefix-state", PREFIX_STATE, None),
+    ("heap-walk", heap_walk_source(), None),
 ]
 
 CORNER_INPUTS = [b"\x01", b"\x02", b"\x03", b"", b"\x05\x06\x07", b"\x04\x00",
                  b"\x09\x01\x11", b"\x0b"]
 
 
-@pytest.mark.parametrize("name,src,config,layout", CORNERS,
+@pytest.mark.parametrize("name,src,config", CORNERS,
                          ids=[c[0] for c in CORNERS])
-def test_corner_programs_run_alike(name, src, config, layout):
-    check_runs(parse_program(src), CORNER_INPUTS, config, layout)
+def test_corner_programs_run_alike(name, src, config):
+    check_runs(parse_program(src), CORNER_INPUTS, config)
 
 
 def test_corner_prefixes_end_where_expected():
     """Each corner's prefix stops where its name says, so the cases above
     cover every way a prefix ends."""
-    starts = {name: ExposureEngine(parse_program(src), config, layout)
-              for name, src, config, layout in CORNERS}
+    starts = {name: ExposureEngine(parse_program(src), config)
+              for name, src, config in CORNERS}
     assert starts["halt"].start_steps == 3
     assert starts["oob-store"].start_steps == 2
     assert starts["bad-ret"].start_steps == 1
     assert starts["div-zero"].start_steps == 2
     assert starts["div-zero-imm"].start_steps == 1
     assert starts["heap-exhausted"].start_steps == 1
-    assert starts["stack-overflow"].start_steps > 8
+    # Two steps for each slot of the stack, and the const before the
+    # overflowing call.
+    assert starts["stack-overflow"].start_steps == (STACK_HI - STACK_LO) // 4 + 1
     assert starts["max-steps-loop"].start_steps == 50
     assert starts["max-steps-straight"].start_steps == 2
     assert starts["max-steps-at-input"].start_steps == 2
@@ -223,7 +227,7 @@ def _reference_start(engine) -> tuple:
     prefix length, tracking edges as the run loop does; returns the machine,
     its edges and its block."""
     image = engine.image
-    m = Machine(image, b"", engine.layout)
+    m = Machine(image, b"")
     edges = set()
     block = image.entry_block
     for _ in range(engine.start_steps):
@@ -244,12 +248,12 @@ def _machine_state(m: Machine) -> tuple:
 
 
 def _start_state_programs():
-    for name, src, config, layout in CORNERS:
-        yield parse_program(src), config, layout
+    for name, src, config in CORNERS:
+        yield parse_program(src), config
     for _, program, _ in _gadget_programs():
-        yield program, None, None
+        yield program, None
     for seed in range(20):
-        yield random_program(seed, True, True), None, None
+        yield random_program(seed, True, True), None
 
 
 def test_start_state_is_the_state_after_the_prefix():
@@ -257,8 +261,8 @@ def test_start_state_is_the_state_after_the_prefix():
     none of them a BR or an input read, and the prefix is as long as it may
     be: the next instruction reads the input, branches, halts or faults, or
     the step limit is reached."""
-    for program, config, layout in _start_state_programs():
-        engine = ExposureEngine(program, config, layout)
+    for program, config in _start_state_programs():
+        engine = ExposureEngine(program, config)
         m, edges, block = _reference_start(engine)
         assert _machine_state(engine.start) == _machine_state(m)
         assert engine.start_edges == edges
@@ -272,7 +276,7 @@ def test_start_state_is_the_state_after_the_prefix():
 def test_fork_copies_everything_a_run_changes():
     program = parse_program(PREFIX_STATE)
     image = ExecImage(program)
-    m = Machine(image, b"", MemLayout(redzone=32))
+    m = Machine(image, b"")
     for _ in range(6):
         m.step()
     m.halted = True
@@ -280,14 +284,13 @@ def test_fork_copies_everything_a_run_changes():
     before = _machine_state(m)
 
     f = m.fork(b"\x07")
-    assert f.image is image and f.layout is m.layout
+    assert f.image is image
     assert f.input == b"\x07"
     assert not f.halted and f.fault is None and f.entered_block == -1
     assert (f.regs, f.fa, f.fb, f.pc, f.sp) == (m.regs, m.fa, m.fb, m.pc, m.sp)
     assert f.canonical_memory() == m.canonical_memory()
     assert (f.alloc.bump, f.alloc.recs, f.alloc.bases) == \
         (m.alloc.bump, m.alloc.recs, m.alloc.bases)
-    assert f.alloc.layout is m.alloc.layout
 
     f.regs[1] = 99
     f.fa = f.fb = 5
@@ -297,5 +300,5 @@ def test_fork_copies_everything_a_run_changes():
         page[0] ^= 0xFF
     f.raw_write8(0x5000, 1, None)
     f.alloc.alloc(64)
-    f.alloc.restore((f.alloc.bump, 1))
+    alloc_restore(f.alloc, (f.alloc.bump, 1))
     assert _machine_state(m) == before

@@ -36,9 +36,10 @@ from specvm.machine import (
     O_JTAB,
     O_RET,
     OUT_OK,
+    STACK_HI,
+    STACK_LO,
     ExecImage,
     Machine,
-    MemLayout,
 )
 
 MAX_STEPS = 3000
@@ -74,8 +75,8 @@ def check_tables(image: ExecImage) -> None:
 
 
 def lockstep(image: ExecImage, data: bytes, speculative: bool, seed: int = 0,
-             layout: MemLayout | None = None) -> int:
-    """Step both machines to HALT, a fault or MAX_STEPS, comparing after
+             max_steps: int = MAX_STEPS) -> int:
+    """Step both machines to HALT, a fault or max_steps, comparing after
     every step; returns the number of steps taken.  With speculative set,
     each BR is forced down its inverted outcome with probability 1/2.
 
@@ -83,11 +84,11 @@ def lockstep(image: ExecImage, data: bytes, speculative: bool, seed: int = 0,
     entered_block must be -1: the engine's loops read it only after the
     other kinds."""
     check_tables(image)
-    fast, ref = Machine(image, data, layout), Machine(image, data, layout)
+    fast, ref = Machine(image, data), Machine(image, data)
     fast_ctx = SpecContext(input_id="x") if speculative else None
     ref_ctx = SpecContext(input_id="x") if speculative else None
     rng = random.Random(seed)
-    for step in range(MAX_STEPS):
+    for step in range(max_steps):
         pc = ref.pc
         op, cc, taken, fall, _ = image.code[pc]
         if speculative and op == O_BR and rng.random() < 0.5:
@@ -118,12 +119,14 @@ def lockstep(image: ExecImage, data: bytes, speculative: bool, seed: int = 0,
 
 
 # Faults and slow paths that neither the victims nor the random programs
-# reach: (source, layout).
+# reach: (source, step bound, None for MAX_STEPS).
 CORNERS = [
     ("fn main:\ne:\n  ret\n", None),
     ("fn main:\ne:\n  call f\n  halt\n"
-     "fn f:\ne:\n  const r0, 0x2fff8\n  const r1, 12345\n  store r1, r0, 0\n  ret\n", None),
-    ("fn main:\ne:\n  call main\n  halt\n", MemLayout(stack_lo=0x2_0000, stack_hi=0x2_0040)),
+     "fn f:\ne:\n  const r0, 0x2fff8\n  const r1, 12345\n  store r1, r0, 0\n  ret\n",
+     None),
+    # Fills every slot of the stack, then overflows it.
+    ("fn main:\ne:\n  call main\n  halt\n", (STACK_HI - STACK_LO) // 8 + 2),
     ("fn main:\ne:\n  alloc r1, 0x8000000\n  halt\n", None),
     ("fn main:\ne:\n  const r2, 0x8000000\n  alloc r1, r2\n  halt\n", None),
     ("fn main:\ne:\n  div r1, r2, 0\n  halt\n", None),
@@ -144,9 +147,12 @@ CORNERS = [
 
 
 @pytest.mark.parametrize("speculative", [False, True], ids=["arch", "spec"])
-@pytest.mark.parametrize("src,layout", CORNERS)
-def test_corner_cases_step_alike(src, layout, speculative):
-    lockstep(ExecImage(parse_program(src)), b"", speculative, layout=layout)
+@pytest.mark.parametrize("src,bound", CORNERS)
+def test_corner_cases_step_alike(src, bound, speculative):
+    bound = bound or MAX_STEPS
+    # Every corner stops, by HALT or a fault, before its bound.
+    assert lockstep(ExecImage(parse_program(src)), b"", speculative,
+                    max_steps=bound) < bound
 
 
 def _gadget_images():
