@@ -7,10 +7,13 @@ file that cannot be read or written (including an analyze invocation
 that could only read part of its trace files); 2 the program crashed
 architecturally under run; 3 violations were found and --strict was given.
 
-Options can come from a config file of key=value lines (--config);
-explicit command line flags win over the file, the file wins over
-defaults.  The fuzzing seed additionally falls back to the SVM_SEED
-environment variable.
+build_parser is the one place that gives an option its type, choices and
+default.  run, fuzz, analyze and oracle also read a config file of
+key=value lines (--config).  A key names one of the command's own long
+options, with _ for -, and main parses the file's lines as those options
+placed before the command line's, so the file is checked like the
+command line and an explicit flag wins over it.  The fuzzing seed falls
+back to the SVM_SEED environment variable when neither gives it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .analyze import (
     write_whitelist,
 )
 from .artifacts import read_json, sasm_with_header, write_lines
-from .detect import IDENTITY_MODES
+from .detect import DEFAULT_IDENTITY, IDENTITY_MODES
 from .engine import SpecConfig, run_with_exposure
 from .fuzzing import FuzzConfig, fuzz_loop
 from .gadgets import GadgetError, builtin_gadget, gadget_ids
@@ -57,16 +60,12 @@ E_USAGE = 1
 E_CRASH = 2
 E_VIOLATIONS = 3
 
-# Settings not given on the command line or in a config file take
-# SpecConfig's and FuzzConfig's defaults.
-_DEFAULTS = SpecConfig()
-_FUZZ_DEFAULTS = FuzzConfig()
-
-_CONFIG_KEYS = {
-    "window": int, "stride": int, "max_order": int, "order_base": int,
-    "identity": str, "runs": int, "seed": int, "workers": int,
-    "max_len": int, "min_triggers": int, "whitelist_min": int,
-}
+# The option names a config file may set; each command takes the ones
+# that are among its options.
+_CONFIG_KEYS = (
+    "window", "stride", "max_order", "order_base", "identity", "runs",
+    "seed", "workers", "max_len", "min_triggers", "whitelist_min",
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,11 +90,10 @@ def _read_text(path: str, what: str) -> str:
         raise CliError(f"{what} {path} is not UTF-8 text: {e}")
 
 
-def _read_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    out = {}
-    for ln in _read_text(path, "config file").splitlines():
+def _config_argv(args) -> list[str]:
+    """The lines of args.config as --key=value options of args.command."""
+    argv = []
+    for ln in _read_text(args.config, "config file").splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
@@ -105,38 +103,16 @@ def _read_config(path: str | None) -> dict:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise CliError(f"unknown config key: {key}")
-        try:
-            out[key] = _CONFIG_KEYS[key](value.strip())
-        except ValueError:
-            raise CliError(f"bad value for {key}: {value.strip()!r}")
-    return out
+        if not hasattr(args, key):
+            raise CliError(f"config key {key} is not an option of svm {args.command}")
+        argv.append(f"--{key.replace('_', '-')}={value.strip()}")
+    return argv
 
 
-def _setting(args, cfg: dict, key: str, default):
-    cli = getattr(args, key, None)
-    if cli is not None:
-        return cli
-    if key in cfg:
-        return cfg[key]
-    if key == "seed":
-        env = os.environ.get("SVM_SEED")
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                raise CliError(f"SVM_SEED is not an integer: {env!r}")
-    return default
-
-
-def _spec_config(args, cfg: dict, simulate: bool = True) -> SpecConfig:
+def _spec_config(args, **extra) -> SpecConfig:
     try:
-        return SpecConfig(
-            window=_setting(args, cfg, "window", _DEFAULTS.window),
-            stride=_setting(args, cfg, "stride", _DEFAULTS.stride),
-            max_order=_setting(args, cfg, "max_order", _DEFAULTS.max_order),
-            order_base=_setting(args, cfg, "order_base", _DEFAULTS.order_base),
-            simulate=simulate,
-        )
+        return SpecConfig(window=args.window, stride=args.stride,
+                          max_order=args.max_order, **extra)
     except ValueError as e:
         raise CliError(str(e))
 
@@ -151,15 +127,15 @@ def _load_program(path: str):
 
 
 def _input_bytes(args) -> bytes:
-    if getattr(args, "input", None) is not None and getattr(args, "input_file", None):
+    if args.input is not None and args.input_file:
         raise CliError("give either --input or --input-file, not both")
-    if getattr(args, "input", None) is not None:
+    if args.input is not None:
         s = args.input.replace(" ", "")
         try:
             return bytes.fromhex(s) if s else b""
         except ValueError:
             raise CliError(f"--input is not valid hex: {args.input!r}")
-    if getattr(args, "input_file", None):
+    if args.input_file:
         p = Path(args.input_file)
         if not p.is_file():
             raise CliError(f"input file not found: {args.input_file}")
@@ -202,20 +178,18 @@ def _report(args, records, identity: str, summary: str, doc: dict) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = _read_config(args.config)
     program = _load_program(args.file)
     data = _input_bytes(args)
-    spec = _spec_config(args, cfg, simulate=not args.no_simulate)
-    identity = _setting(args, cfg, "identity", _FUZZ_DEFAULTS.identity)
+    spec = _spec_config(args, simulate=not args.no_simulate)
     # No branch statistics: every branch runs at the full max_order.
     trace = run_with_exposure(program, data, spec)
     res = trace.result
-    records = trace.deduped(identity)
+    records = trace.deduped(args.identity)
     state = "halted" if res.halted else (
         f"fault: {res.fault.kind}" if res.fault else "stopped")
     summary = (f"{state} after {res.steps} steps "
                f"({trace.spec_steps} speculative), {len(records)} violations")
-    _report(args, records, identity, summary, {
+    _report(args, records, args.identity, summary, {
         "halted": res.halted,
         "steps": res.steps,
         "fault": res.fault.kind if res.fault else None,
@@ -231,18 +205,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    cfg = _read_config(args.config)
     program = _load_program(args.file)
-    spec = _spec_config(args, cfg)
+    spec = _spec_config(args, order_base=args.order_base)
+    seed = args.seed  # the flag or the config file, else SVM_SEED or the default
+    if seed is None:
+        env = os.environ.get("SVM_SEED", str(FuzzConfig().seed))
+        try:
+            seed = int(env)
+        except ValueError:
+            raise CliError(f"SVM_SEED is not an integer: {env!r}")
     try:
-        fuzz_cfg = FuzzConfig(
-            runs=_setting(args, cfg, "runs", _FUZZ_DEFAULTS.runs),
-            seed=_setting(args, cfg, "seed", _FUZZ_DEFAULTS.seed),
-            workers=_setting(args, cfg, "workers", _FUZZ_DEFAULTS.workers),
-            max_len=_setting(args, cfg, "max_len", _FUZZ_DEFAULTS.max_len),
-            identity=_setting(args, cfg, "identity", _FUZZ_DEFAULTS.identity),
-            spec=spec,
-        )
+        fuzz_cfg = FuzzConfig(runs=args.runs, seed=seed, workers=args.workers,
+                              max_len=args.max_len, identity=args.identity,
+                              spec=spec)
     except ValueError as e:
         raise CliError(str(e))
     if args.out:  # fail before the session, not after it
@@ -269,8 +244,6 @@ def _read_branch_counts(path: str) -> dict[str, int]:
 
 
 def _cmd_analyze(args) -> int:
-    cfg = _read_config(args.config)
-    identity = _setting(args, cfg, "identity", _FUZZ_DEFAULTS.identity)
     findings: dict = {}
     partial = False
     for path in args.traces:
@@ -280,11 +253,10 @@ def _cmd_analyze(args) -> int:
             print(f"warning: cannot read trace {path}: {e}", file=sys.stderr)
             partial = True
             continue
-        findings = merge(findings, aggregate(records, identity))
-    min_triggers = _setting(args, cfg, "min_triggers", DEFAULT_MIN_TRIGGERS)
-    lines = render_report(findings, min_triggers)
+        findings = merge(findings, aggregate(records, args.identity))
+    lines = render_report(findings, args.min_triggers)
     if args.out:
-        write_lines(args.out, {"file": "report", "min_triggers": min_triggers},
+        write_lines(args.out, {"file": "report", "min_triggers": args.min_triggers},
                     lines)
     else:
         for ln in lines:
@@ -295,9 +267,8 @@ def _cmd_analyze(args) -> int:
         if not args.stats:
             raise CliError("--whitelist-out needs --stats (branch_stats.json)")
         counts = _read_branch_counts(args.stats)
-        wl_min = _setting(args, cfg, "whitelist_min", DEFAULT_WHITELIST_MIN_INPUTS)
-        wl = build_whitelist(findings, counts, wl_min)
-        write_whitelist(args.whitelist_out, wl, {"min_inputs": wl_min})
+        wl = build_whitelist(findings, counts, args.whitelist_min)
+        write_whitelist(args.whitelist_out, wl, {"min_inputs": args.whitelist_min})
         print(f"whitelisted {len(wl)} branches", file=sys.stderr)
     if partial:
         return E_USAGE
@@ -333,24 +304,18 @@ def _cmd_harden(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cfg = _read_config(args.config)
     program = _load_program(args.file)
     data = _input_bytes(args)
-    identity = _setting(args, cfg, "identity", _FUZZ_DEFAULTS.identity)
+    spec = _spec_config(args)
     try:
         outcome = enumerate_paths(
-            program, data,
-            max_order=_setting(args, cfg, "max_order", ORACLE_MAX_ORDER),
-            window=_setting(args, cfg, "window", _DEFAULTS.window),
-            stride=_setting(args, cfg, "stride", _DEFAULTS.stride),
-            identity=identity,
-            script_limit=args.limit,
-        )
+            program, data, max_order=spec.max_order, window=spec.window,
+            stride=spec.stride, identity=args.identity, script_limit=args.limit)
     except OracleError as e:
         raise CliError(str(e))
     summary = (f"{len(outcome.scripts)} speculative paths, "
                f"{len(outcome.keys)} distinct violations")
-    _report(args, outcome.records, identity, summary,
+    _report(args, outcome.records, args.identity, summary,
             {"scripts": len(outcome.scripts)})
     if outcome.keys and args.strict:
         return E_VIOLATIONS
@@ -386,16 +351,21 @@ def _cmd_gadgets(args) -> int:
 
 # -- wiring -------------------------------------------------------------------
 
-def _add_spec_flags(p: _Parser) -> None:
-    p.add_argument("--window", type=int, default=None,
-                   help="speculation window in instructions")
-    p.add_argument("--stride", type=int, default=None,
-                   help="window accounting chunk size")
-    p.add_argument("--max-order", dest="max_order", type=int, default=None,
-                   help="maximum nesting order")
-    p.add_argument("--identity", choices=IDENTITY_MODES, default=None,
-                   help="violation identity mode")
+def _add_identity_and_config(p: _Parser) -> None:
+    p.add_argument("--identity", choices=IDENTITY_MODES,
+                   default=DEFAULT_IDENTITY, help="violation identity mode")
     p.add_argument("--config", default=None, help="key=value config file")
+
+
+def _add_spec_flags(p: _Parser, max_order: int) -> None:
+    spec = SpecConfig()
+    p.add_argument("--window", type=int, default=spec.window,
+                   help="speculation window in instructions")
+    p.add_argument("--stride", type=int, default=spec.stride,
+                   help="window accounting chunk size")
+    p.add_argument("--max-order", dest="max_order", type=int, default=max_order,
+                   help="maximum nesting order")
+    _add_identity_and_config(p)
 
 
 def _add_input_flags(p: _Parser) -> None:
@@ -417,7 +387,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="run one input with speculation exposure")
     p.add_argument("file")
     _add_input_flags(p)
-    _add_spec_flags(p)
+    _add_spec_flags(p, SpecConfig().max_order)
     p.add_argument("--no-simulate", action="store_true", dest="no_simulate",
                    help="plain architectural run")
     p.add_argument("--strict", action="store_true",
@@ -428,26 +398,30 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fuzz", help="coverage-guided fuzzing with exposure")
     p.add_argument("file")
     p.add_argument("--out", default=None, help="artifact directory")
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None,
+    fuzz = FuzzConfig()
+    p.add_argument("--runs", type=int, default=fuzz.runs)
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"default: SVM_SEED, else {fuzz.seed}")
+    p.add_argument("--workers", type=int, default=fuzz.workers,
                    help="split the runs over this many deterministic shards")
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
-    p.add_argument("--order-base", dest="order_base", type=int, default=None,
+    p.add_argument("--max-len", dest="max_len", type=int, default=fuzz.max_len)
+    p.add_argument("--order-base", dest="order_base", type=int,
+                   default=fuzz.spec.order_base,
                    help="base of the nesting order schedule")
-    _add_spec_flags(p)
+    _add_spec_flags(p, fuzz.spec.max_order)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(fn=_cmd_fuzz)
 
     p = sub.add_parser("analyze", help="aggregate traces into findings and a whitelist")
     p.add_argument("traces", nargs="+")
     p.add_argument("--stats", default=None, help="branch_stats.json from fuzzing")
-    p.add_argument("--min-triggers", dest="min_triggers", type=int, default=None)
-    p.add_argument("--whitelist-min", dest="whitelist_min", type=int, default=None)
+    p.add_argument("--min-triggers", dest="min_triggers", type=int,
+                   default=DEFAULT_MIN_TRIGGERS)
+    p.add_argument("--whitelist-min", dest="whitelist_min", type=int,
+                   default=DEFAULT_WHITELIST_MIN_INPUTS)
     p.add_argument("--whitelist-out", dest="whitelist_out", default=None)
     p.add_argument("--out", default=None, help="report file")
-    p.add_argument("--identity", choices=IDENTITY_MODES, default=None)
-    p.add_argument("--config", default=None)
+    _add_identity_and_config(p)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(fn=_cmd_analyze)
 
@@ -462,7 +436,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exhaustively enumerate speculative paths")
     p.add_argument("file")
     _add_input_flags(p)
-    _add_spec_flags(p)
+    _add_spec_flags(p, ORACLE_MAX_ORDER)
     p.add_argument("--limit", type=int, default=SCRIPT_LIMIT,
                    help="abort beyond this many scripts")
     p.add_argument("--strict", action="store_true")
@@ -479,8 +453,14 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # The file's options go right after the command name, so that
+            # the command line's own flags come later and win.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_argv(args) + argv[at:])
         return args.fn(args)
     except CliError as e:
         print(f"svm: error: {e}", file=sys.stderr)

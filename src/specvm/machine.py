@@ -261,39 +261,28 @@ class ExecImage:
 
     def __init__(self, program: Program):
         self.program = program
-        self.code: list[tuple] = []
         self.iid_of: list[InstructionId] = []
         self.blocks: list[tuple[int, int, str, str]] = []  # start, length, fn, label
         self.block_of: list[int] = []
         self.fn_entry: dict[str, int] = {}  # fn name -> block index
 
+        # Blocks are numbered in flat instruction order, so a block's start
+        # is the count of instructions before it.
         block_index: dict[tuple[str, str], int] = {}
+        instrs: list[tuple] = []  # (fn, instruction) in flat order
         for fn, blocks in program.functions.items():
+            self.fn_entry[fn] = len(self.blocks)
             for block in blocks:
-                block_index[(fn, block.label)] = len(self.blocks)
-                self.blocks.append((0, len(block.instrs), fn, block.label))
-            self.fn_entry[fn] = block_index[(fn, blocks[0].label)]
-
-        # Assign flat indices, then decode.
-        flat = 0
-        rebuilt = []
-        for fn, blocks in program.functions.items():
-            for block in blocks:
-                bi = block_index[(fn, block.label)]
-                rebuilt.append((bi, flat))
-                for idx in range(len(block.instrs)):
+                bi = len(self.blocks)
+                block_index[(fn, block.label)] = bi
+                self.blocks.append((len(instrs), len(block.instrs), fn, block.label))
+                for idx, ins in enumerate(block.instrs):
                     self.iid_of.append(InstructionId(fn, block.label, idx))
                     self.block_of.append(bi)
-                    flat += 1
+                    instrs.append((fn, ins))
         self.iid_str: list[str] = [str(iid) for iid in self.iid_of]
-        for bi, start in rebuilt:
-            _, length, fn, label = self.blocks[bi]
-            self.blocks[bi] = (start, length, fn, label)
-
-        for fn, blocks in program.functions.items():
-            for block in blocks:
-                for ins in block.instrs:
-                    self.code.append(self._decode(fn, ins, block_index))
+        self.code: list[tuple] = [self._decode(fn, ins, block_index)
+                                  for fn, ins in instrs]
         self.block_starts: list[int] = [blk[0] for blk in self.blocks]
         self.block_lens: list[int] = [blk[1] for blk in self.blocks]
         starts = self.block_starts
@@ -932,7 +921,7 @@ class Machine:
                     keep &= ~(((1 << (8 * (last - first))) - 1) << (8 * (first - addr)))
         return self.raw_read8(addr) & keep
 
-    # -- branch helper (shared with the exposure engine and the oracle) ----
+    # -- branch helper (the oracle's; the engine reads ExecImage.br itself) -
 
     def force_branch(self, flat: int, invert: bool) -> int:
         """Move pc to the BR's outcome (or its inverse); returns target block."""

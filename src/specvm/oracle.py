@@ -152,6 +152,12 @@ def enumerate_paths(program: Program | ExecImage, input_bytes: bytes = b"",
     """Enumerate every speculative path up to max_order nested inversions and
     return the union of violations along with per-script outcomes."""
     image = program if isinstance(program, ExecImage) else ExecImage(program)
+    # The bounds SpecConfig puts on the engine: with stride 0 a path never
+    # charges its window, so a speculative loop would never retire.
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     records: list[ViolationRecord] = []

@@ -1,13 +1,14 @@
 """Command line interface: subcommands, exit codes, option precedence."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
 from specvm.artifacts import read_json
-from specvm.cli import build_parser, main
+from specvm.cli import _CONFIG_KEYS, build_parser, main
 from specvm.gadgets import builtin_gadget
 from specvm.isa import parse_program
 
@@ -24,6 +25,20 @@ bad:
   load r2, r1, 0
   halt
 """
+
+
+# The mispredicted side of the branch spins forever.
+SPIN = ("fn main:\ne:\n  cmp r0, 0\n  br eq, done, spin\n"
+        "spin:\n  jmp spin\ndone:\n  halt\n")
+
+
+def exit_code(argv) -> int:
+    """main's return value, or the status argparse exits with on a usage
+    error."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
 
 
 @pytest.fixture
@@ -160,14 +175,65 @@ def test_seed_precedence_cli_over_config_over_env(g01, tmp_path, monkeypatch):
     assert session_seed([]) == 0
 
 
-def test_config_file_errors(g01, tmp_path):
+def test_config_file_errors(g01, tmp_path, capsys):
     bad_key = tmp_path / "a.cfg"
     bad_key.write_text("wibble=1\n")
     assert main(["fuzz", g01, "--config", str(bad_key)]) == 1
     bad_val = tmp_path / "b.cfg"
     bad_val.write_text("runs=lots\n")
-    assert main(["fuzz", g01, "--config", str(bad_val)]) == 1
+    with pytest.raises(SystemExit) as ei:  # argparse converts the value
+        main(["fuzz", g01, "--config", str(bad_val)])
+    assert ei.value.code == 1
+    assert re.search(r"--runs\b.*\blots\b", capsys.readouterr().err)
     assert main(["fuzz", g01, "--config", str(tmp_path / "missing.cfg")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{g01}", "--input", "09"],
+    ["fuzz", "{g01}", "--runs", "1"],
+    ["oracle", "{g01}", "--input", "09"],
+    ["analyze", "{dir}/trace.jsonl"],
+], ids=["run", "fuzz", "oracle", "analyze"])
+def test_config_identity_is_checked_like_the_flag(argv, g01, tmp_path, capsys):
+    conf = tmp_path / "bogus.cfg"
+    conf.write_text("identity=bogus\n")
+    argv = [a.format(g01=g01, dir=tmp_path) for a in argv]
+    assert exit_code(argv + ["--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, line", [
+    ("run", "runs=5"), ("run", "order_base=3"), ("oracle", "order_base=3"),
+    ("fuzz", "min_triggers=3"),
+])
+def test_config_key_the_command_lacks_is_an_error(command, line, g01, tmp_path,
+                                                  capsys):
+    conf = tmp_path / "svm.cfg"
+    conf.write_text(line + "\n")
+    key = line.split("=")[0]
+    assert main([command, g01, "--config", str(conf)]) == 1
+    assert capsys.readouterr().err == (
+        f"svm: error: config key {key} is not an option of svm {command}\n")
+
+
+def test_config_keys_are_options_and_match_the_readme():
+    # Each command's config keys are exactly its options among _CONFIG_KEYS,
+    # every key belongs to some command, and the README lists them so.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    para = readme.split("The keys each command takes:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for item in re.split(r"^- ", para, flags=re.M)[1:]:
+        commands, _, keys = item.partition(": ")
+        for command in re.findall(r"`svm (\w+)`", commands):
+            listed[command] = set(re.findall(r"`(\w+)`", keys))
+    parser = build_parser()
+    minimal = {"asm": ["p"], "run": ["p"], "fuzz": ["p"], "analyze": ["t"],
+               "harden": ["p", "--mode", "fence"], "oracle": ["p"], "gadgets": []}
+    taken = {command: set(vars(parser.parse_args([command] + argv))) & set(_CONFIG_KEYS)
+             for command, argv in minimal.items()}
+    assert {command: keys for command, keys in taken.items() if keys} == listed
+    assert set().union(*listed.values()) == set(_CONFIG_KEYS)
 
 
 def test_bad_env_seed_is_an_error(g01, monkeypatch, tmp_path):
@@ -345,6 +411,19 @@ def test_oracle_limit_exits_1(tmp_path, capsys):
     assert main(["oracle", str(src), "--max-order", "3", "--window", "16",
                  "--limit", "4"]) == 1
     assert "enumeration-too-large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--max-order", "max_order must be at least 1"),
+    ("--window", "window must be at least 1"),
+    ("--stride", "stride must be at least 1"),
+])
+def test_oracle_checks_its_bounds(flag, message, tmp_path, capsys):
+    # With a stride of 0 the spinning path would never charge its window.
+    src = tmp_path / "spin.sasm"
+    src.write_text(SPIN)
+    assert main(["oracle", str(src), flag, "0"]) == 1
+    assert capsys.readouterr().err == f"svm: error: {message}\n"
 
 
 # -- gadgets -----------------------------------------------------------------------------

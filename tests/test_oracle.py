@@ -130,6 +130,17 @@ def test_max_order_must_be_positive():
         enumerate_paths(parse_program(CENSUS), b"", max_order=0)
 
 
+@pytest.mark.parametrize("bound", ["window", "stride"])
+def test_window_and_stride_must_be_positive(bound):
+    # The same bounds and messages as SpecConfig.  The program has no loop,
+    # so an unchecked bound would end the call rather than hang it.
+    program = builtin_gadget(1).program
+    with pytest.raises(ValueError, match=f"^{bound} must be at least 1$"):
+        enumerate_paths(program, b"\x09", **{bound: 0})
+    with pytest.raises(ValueError, match=f"^{bound} must be at least 1$"):
+        SpecConfig(**{bound: 0})
+
+
 def test_keys_match_engine_on_gadgets():
     for gid in (1, 11, 13, 17, 18):
         g = builtin_gadget(gid)
