@@ -74,6 +74,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(E_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    """An argparse type: a whole number of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 class CliError(Exception):
     def __init__(self, message: str, code: int = E_USAGE):
         super().__init__(message)
@@ -415,9 +426,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="aggregate traces into findings and a whitelist")
     p.add_argument("traces", nargs="+")
     p.add_argument("--stats", default=None, help="branch_stats.json from fuzzing")
-    p.add_argument("--min-triggers", dest="min_triggers", type=int,
+    p.add_argument("--min-triggers", dest="min_triggers", type=_count,
                    default=DEFAULT_MIN_TRIGGERS)
-    p.add_argument("--whitelist-min", dest="whitelist_min", type=int,
+    p.add_argument("--whitelist-min", dest="whitelist_min", type=_count,
                    default=DEFAULT_WHITELIST_MIN_INPUTS)
     p.add_argument("--whitelist-out", dest="whitelist_out", default=None)
     p.add_argument("--out", default=None, help="report file")

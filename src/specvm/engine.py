@@ -23,32 +23,33 @@ starts from its parent's counter and a copy of its call stack, so sibling
 paths do not consume each other's budget, and the parent's locals are all
 the accounting a rollback must return to.  A checkpoint therefore holds
 only a copy of the registers, the flags, pc, sp, the allocator's bump
-pointer and allocation count, and the write-log length.  It saves no halt
-flag or fault, because a path opens at a branch, where the machine has
-neither, and rollback clears both.  Rollback makes the saved copy the
-registers, rewinds memory through the write log, and truncates the
-allocation table only when the path allocated.
+pointer and allocation count, and the write-log length.  Rollback makes
+the saved copy the registers, rewinds memory through the write log, and
+truncates the allocation table only when the path allocated.
 
 A path opens with one lookup in the image's branch table (``ExecImage.br``)
 and its loop dispatches on the instruction kind (``ExecImage.kinds``): a
 plain instruction is one handler call and one test of its outcome, FENCE
 retires the path before the window is charged, and only the control kinds
-read ``entered_block`` and move the block and call accounting.  The run
-loop dispatches the same way.  What every path reads of the image and the
-configuration is bound once per engine, in one tuple.
+look up the block entered, at the new pc, and move the block and call
+accounting.  The run loop dispatches the same way.  What every path reads
+of the image and the configuration is bound once per engine, in one
+tuple.
 
 An engine does not start each run from a fresh Machine.  When it is built
 it runs its program once, with no input, up to the first instruction that
-could depend on the input or open a tree: before the first BR (a tree's
-records carry the input id, and its order depends on BranchStats even with
-simulation off), INPUT or INPUTLEN (the only readers of the input), or the
-step limit.  A HALT or a fault in that prefix ends it before the
-instruction, which handlers leave in place, so every run executes it
-itself.  Every run then starts from a fork of the resulting machine, with
-the prefix's step count and edges.  This is sound because no instruction
-in the prefix reads the input, opens a tree or consults the statistics:
-each run would have computed exactly that state first, architecturally,
-and the fork gives each run its own copy of everything it can change.
+could depend on the input or open a tree: before the first BR (with
+simulation on, a BR opens a tree, whose records carry the input id and
+whose order may bump BranchStats; with it off, the prefix stops there as
+well, so that one rule serves both), INPUT or INPUTLEN (the only readers
+of the input), or the step limit.  A HALT or a fault in that prefix ends
+it before the instruction, which handlers leave in place, so every run
+executes it itself.  Every run then starts from a fork of the resulting
+machine, with the prefix's step count and edges.  This is sound because
+no instruction in the prefix reads the input, opens a tree or consults
+the statistics: each run would have computed exactly that state first,
+architecturally, and the fork gives each run its own copy of everything
+it can change.
 
 How deep a tree may nest is rationed out by ``allowed_order``: the n-th
 distinct input to reach a branch may nest up to 1 + max{j : n mod base^j
@@ -70,12 +71,9 @@ from .machine import (
     K_RET,
     O_INPUT,
     O_INPUTLEN,
-    OUT_FAULT,
     OUT_HALT,
     OUT_OK,
     ExecImage,
-    Fault,
-    F_STEP,
     Machine,
     RunResult,
     _result,
@@ -208,8 +206,9 @@ class ExposureEngine:
         self.cfg = config or SpecConfig()
         # What every speculative path reads, bound once for all of them.
         image = self.image
-        self._tree = (image.handlers, image.kinds, image.br, image.block_lens,
-                      image.iid_str, self.cfg.window, self.cfg.stride)
+        self._tree = (image.handlers, image.kinds, image.br, image.block_of,
+                      image.block_lens, image.iid_str, self.cfg.window,
+                      self.cfg.stride)
         self._run_prefix()
         # Per-run state, reset in run()
         self.m: Machine | None = None
@@ -253,8 +252,6 @@ class ExposureEngine:
         m.fb = fb
         m.pc = pc
         m.sp = sp
-        m.halted = False
-        m.fault = None
         alloc = m.alloc
         if len(alloc.recs) != n_alloc:
             # The bump pointer moves only with a new allocation.
@@ -281,7 +278,8 @@ class ExposureEngine:
         """
         m = self.m
         ctx = self.ctx
-        handlers, kinds, br, block_lens, iid_str, window, stride = self._tree
+        (handlers, kinds, br, block_of, block_lens, iid_str, window,
+         stride) = self._tree
         self.push_checkpoint(iid_str[pc])
         cond, t_pc, t_blk, f_pc, f_blk = br[pc]
         if cond(m.fa, m.fb):
@@ -334,7 +332,7 @@ class ExposureEngine:
                 continue
             if kind == K_CALL:
                 acct.append((remaining, budget))
-            remaining = block_lens[m.entered_block]
+            remaining = block_lens[block_of[m.pc]]
             budget = 0
         self.spec_steps += steps
         retired = self.retired
@@ -351,6 +349,7 @@ class ExposureEngine:
         code = image.code
         kinds = image.kinds
         handlers = image.handlers
+        block_of = image.block_of
         m = Machine(image, b"")
         edges: set[tuple[int, int]] = set()
         cur_block = image.entry_block
@@ -363,16 +362,13 @@ class ExposureEngine:
             if handlers[pc](m, None):
                 # HALT and faults leave pc and the rest of the state in
                 # place, so each run executes this instruction again.
-                m.halted = False
-                m.fault = None
-                m.entered_block = -1
                 break
             steps += 1
-            if kind >= K_BR:
-                edges.add((cur_block, m.entered_block))
-                cur_block = m.entered_block
-            elif kind == K_RET:
-                cur_block = image.block_of[m.pc]
+            if kind >= K_RET:
+                block = block_of[m.pc]
+                if kind != K_RET:
+                    edges.add((cur_block, block))
+                cur_block = block
         self.start = m
         self.start_steps = steps
         self.start_edges = frozenset(edges)
@@ -396,7 +392,7 @@ class ExposureEngine:
         max_steps = cfg.max_steps
         cur_block = self.start_block
         steps = self.start_steps
-        fault: Fault | None = None
+        out = OUT_OK
         while steps < max_steps:
             pc = m.pc
             kind = kinds[pc]
@@ -421,17 +417,11 @@ class ExposureEngine:
             steps += 1
             if out:
                 break
-            if kind == K_RET:
-                cur_block = block_of[m.pc]
-            else:
-                edges.add((cur_block, m.entered_block))
-                cur_block = m.entered_block
-        else:
-            out = OUT_OK
-            fault = Fault(F_STEP, image.iid_of[m.pc] if m.pc < len(image.code) else None)
-        if out == OUT_FAULT:
-            fault = m.fault
-        return RunTrace(_result(m, steps, fault), ctx.records, edges, order_of,
+            block = block_of[m.pc]
+            if kind != K_RET:
+                edges.add((cur_block, block))
+            cur_block = block
+        return RunTrace(_result(m, steps, out), ctx.records, edges, order_of,
                         steps, self.spec_steps, self.retired)
 
 

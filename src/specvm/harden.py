@@ -231,21 +231,6 @@ def slh_pass(program: Program, whitelist: set[str] | None = None) -> HardenResul
     return _instrument(program, whitelist or set(), SLH_MODE)
 
 
-def fence_guarded_branches(program: Program) -> set[str]:
-    """Branch ids whose both edges begin with FENCE, found by static scan."""
-    out: set[str] = set()
-    for fn, blocks in program.functions.items():
-        first_op = {b.label: b.instrs[0].op for b in blocks}
-        for b in blocks:
-            term = b.instrs[-1]
-            if term.op is not Op.BR:
-                continue
-            if (first_op[term.ops[1].name] is Op.FENCE
-                    and first_op[term.ops[2].name] is Op.FENCE):
-                out.add(str(InstructionId(fn, b.label, len(b.instrs) - 1)))
-    return out
-
-
 def verify_hardening(original: Program, result: HardenResult,
                      inputs: list[bytes], config=None) -> dict:
     """Check a hardening result against the original program.
@@ -280,6 +265,5 @@ def verify_hardening(original: Program, result: HardenResult,
 
 __all__ = [
     "MASK_REG", "SCRATCH_REG", "FENCE_MODE", "SLH_MODE", "MODES",
-    "HardenError", "HardenResult", "fence_pass", "slh_pass",
-    "fence_guarded_branches", "verify_hardening",
+    "HardenError", "HardenResult", "fence_pass", "slh_pass", "verify_hardening",
 ]

@@ -396,6 +396,7 @@ def parse_program(text: str) -> Program:
                 label = f"__bad{lineno}"
             if any(b.label == label for b in prog.functions[cur_fn]):
                 diags.append(Diagnostic(lineno, f"duplicate label '{label}' in fn {cur_fn}"))
+                label = f"__bad{lineno}"  # diagnosed once, here
             cur_block = BasicBlock(label)
             prog.functions[cur_fn].append(cur_block)
             block_lines[(cur_fn, label)] = lineno

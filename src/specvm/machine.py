@@ -32,10 +32,10 @@ instruction at decode time (``_make_handler``), a closure specialised to
 that instruction's operands, and ``Machine.step`` only calls
 ``image.handlers[pc](machine, ctx)``.  Every handler keeps this contract:
 
-* it returns OUT_OK, OUT_HALT or OUT_FAULT, and on OUT_FAULT has set
-  ``machine.fault``;
-* ``entered_block`` is the entered block after a BR, JMP, JTAB or CALL
-  that completed, and -1 after any other instruction and after a fault;
+* it returns OUT_OK, OUT_HALT or the Fault it raised;
+* a BR, JMP, JTAB or CALL that completes leaves ``pc`` at the start of the
+  block it entered, so ``image.block_of[pc]`` names that block (validation
+  forbids empty blocks);
 * a faulting instruction leaves ``pc`` where it was, and HALT too;
 * with ctx set, an out-of-bounds access goes to
   ``ctx.on_speculative_access`` (a redzone LOAD that may proceed reads the
@@ -44,17 +44,17 @@ that instruction's operands, and ``Machine.step`` only calls
 
 ExecImage also classifies each instruction by kind (``kinds``) and keeps a
 branch table (``br``).  The stepping loops of the exposure engine dispatch
-on the kind and read ``entered_block`` only after the control kinds, BR,
-CALL and JMP/JTAB, that can set it; every handler still keeps the contract
-above, because Machine.step, the oracle and the reference tests read
-``entered_block`` after every step.
+on the kind and look up the entered block only after the control kinds,
+BR, CALL and JMP/JTAB, that enter one.
 
-``Machine.fork(input)`` is the one way to copy a machine: a new machine
-with the given input and its own registers, flags, pc, sp, memory pages and
-allocation table, not halted and with no fault.  The exposure engine forks
-every run from the state its program reaches before input first matters;
-the oracle forks every script from its architectural pass at the script's
-root branch.
+A Machine holds only architectural state: the image, the input, registers,
+flags, pc, sp, memory pages and the allocation table.  Whether a run
+halted or faulted is the outcome of its last step, which the run loops
+keep.  ``Machine.fork(input)`` is the one way to copy a machine: a new
+machine with the given input and its own copy of everything else but the
+image.  The exposure engine forks every run from the state its program
+reaches before input first matters; the oracle forks every script from its
+architectural pass at the script's root branch.
 
 The plain reference stepper that the handlers are tested against lives
 with the tests.
@@ -93,10 +93,9 @@ F_STACK = "stack-overflow"
 F_HEAP = "heap-exhausted"
 F_STEP = "step-limit"
 
-# Step outcomes
+# Step outcomes; a faulting step returns its Fault instead
 OUT_OK = 0
 OUT_HALT = 1
-OUT_FAULT = 2
 
 _PAGE = 4096
 DEFAULT_MAX_STEPS = 100_000
@@ -204,7 +203,7 @@ O_HALT = int(Op.HALT)
 # Instruction kinds, ExecImage.kinds[pc]: what the stepping loops must do
 # around a handler call.  A plain instruction needs nothing.  FENCE retires
 # a speculative path.  RET enters no block but resumes a caller's; BR, CALL
-# and JMP/JTAB enter the block named by ``entered_block`` when they complete,
+# and JMP/JTAB enter the block that starts at the new pc when they complete,
 # and are the kinds at or above K_BR.
 K_PLAIN = 0
 K_FENCE = 1
@@ -235,16 +234,16 @@ class ExecImage:
     text, built once here because branch bookkeeping and violation records
     need it on every visit.
 
-    handlers[i] executes code[i]: a closure (machine, ctx) -> OUT_*, built
-    once here with its operands, immediate or register form, target pcs,
-    return word and id text bound in, so stepping is one indexed call with
-    no dispatch on the opcode.  Machine.step is exactly that call; the
-    contract each handler keeps is in the module docstring.
+    handlers[i] executes code[i]: a closure (machine, ctx) returning
+    OUT_OK, OUT_HALT or a Fault, built once here with its operands,
+    immediate or register form, target pcs, return word and id text bound
+    in, so stepping is one indexed call with no dispatch on the opcode.
+    Machine.step is exactly that call; the contract each handler keeps is
+    in the module docstring.
 
     kinds[i] is the kind of code[i] (K_*, see KIND_OF_OP).  The stepping
-    loops dispatch on it: they read ``entered_block`` only after a control
-    kind, because after a plain instruction it is always -1.  Handlers
-    still keep the full contract, for Machine.step's other callers.
+    loops dispatch on it: only after a control kind that completed do they
+    look up the block entered, as block_of[pc].
 
     br[i] is (condition, taken pc, taken block, fall pc, fall block) when
     code[i] is a BR and None otherwise; the condition is a function of the
@@ -364,8 +363,9 @@ _CC = tuple(getattr(operator, cc) for cc in CONDITIONS)
 
 
 def _make_handler(image: ExecImage, pc: int):
-    """The handler of instruction pc: a closure (machine, ctx) -> OUT_* with
-    the instruction's decoded operands, target pcs and id bound in.
+    """The handler of instruction pc: a closure (machine, ctx) returning
+    OUT_OK, OUT_HALT or a Fault, with the instruction's decoded operands,
+    target pcs and id bound in.
 
     It must not hold the image itself, so that an image and its handlers
     form no reference cycle.  The contract every handler keeps is in the
@@ -376,27 +376,20 @@ def _make_handler(image: ExecImage, pc: int):
     starts = image.block_starts
 
     if op == O_BR:
-        cond, t_pc, t_blk, f_pc, f_blk = image.br[pc]
+        cond, t_pc, _, f_pc, _ = image.br[pc]
 
         def br(m, ctx):
-            if cond(m.fa, m.fb):
-                m.pc = t_pc
-                m.entered_block = t_blk
-            else:
-                m.pc = f_pc
-                m.entered_block = f_blk
+            m.pc = t_pc if cond(m.fa, m.fb) else f_pc
             return OUT_OK
         return br
     if op == O_CONST:
         def const(m, ctx):
-            m.entered_block = -1
             m.regs[a] = b
             m.pc = nxt
             return OUT_OK
         return const
     if op == O_MOV:
         def mov(m, ctx):
-            m.entered_block = -1
             regs = m.regs
             regs[a] = regs[b]
             m.pc = nxt
@@ -405,7 +398,6 @@ def _make_handler(image: ExecImage, pc: int):
     if op == O_CMP:
         if f:
             def cmp_imm(m, ctx):
-                m.entered_block = -1
                 m.fa = m.regs[a]
                 m.fb = b
                 m.pc = nxt
@@ -413,7 +405,6 @@ def _make_handler(image: ExecImage, pc: int):
             return cmp_imm
 
         def cmp_reg(m, ctx):
-            m.entered_block = -1
             regs = m.regs
             m.fa = regs[a]
             m.fb = regs[b]
@@ -424,7 +415,6 @@ def _make_handler(image: ExecImage, pc: int):
         cond = _CC[b]
 
         def setcc(m, ctx):
-            m.entered_block = -1
             m.regs[a] = 1 if cond(m.fa, m.fb) else 0
             m.pc = nxt
             return OUT_OK
@@ -432,7 +422,6 @@ def _make_handler(image: ExecImage, pc: int):
     if op == O_ADD:
         if f:
             def add_imm(m, ctx):
-                m.entered_block = -1
                 regs = m.regs
                 regs[a] = (regs[b] + c) & WORD_MASK
                 m.pc = nxt
@@ -440,7 +429,6 @@ def _make_handler(image: ExecImage, pc: int):
             return add_imm
 
         def add_reg(m, ctx):
-            m.entered_block = -1
             regs = m.regs
             regs[a] = (regs[b] + regs[c]) & WORD_MASK
             m.pc = nxt
@@ -449,7 +437,6 @@ def _make_handler(image: ExecImage, pc: int):
     if op == O_SUB:
         if f:
             def sub_imm(m, ctx):
-                m.entered_block = -1
                 regs = m.regs
                 regs[a] = (regs[b] - c) & WORD_MASK
                 m.pc = nxt
@@ -457,7 +444,6 @@ def _make_handler(image: ExecImage, pc: int):
             return sub_imm
 
         def sub_reg(m, ctx):
-            m.entered_block = -1
             regs = m.regs
             regs[a] = (regs[b] - regs[c]) & WORD_MASK
             m.pc = nxt
@@ -466,7 +452,6 @@ def _make_handler(image: ExecImage, pc: int):
     if op == O_MUL:
         if f:
             def mul_imm(m, ctx):
-                m.entered_block = -1
                 regs = m.regs
                 regs[a] = (regs[b] * c) & WORD_MASK
                 m.pc = nxt
@@ -474,7 +459,6 @@ def _make_handler(image: ExecImage, pc: int):
             return mul_imm
 
         def mul_reg(m, ctx):
-            m.entered_block = -1
             regs = m.regs
             regs[a] = (regs[b] * regs[c]) & WORD_MASK
             m.pc = nxt
@@ -483,7 +467,6 @@ def _make_handler(image: ExecImage, pc: int):
     if op == O_AND:
         if f:
             def and_imm(m, ctx):
-                m.entered_block = -1
                 regs = m.regs
                 regs[a] = regs[b] & c
                 m.pc = nxt
@@ -491,7 +474,6 @@ def _make_handler(image: ExecImage, pc: int):
             return and_imm
 
         def and_reg(m, ctx):
-            m.entered_block = -1
             regs = m.regs
             regs[a] = regs[b] & regs[c]
             m.pc = nxt
@@ -500,7 +482,6 @@ def _make_handler(image: ExecImage, pc: int):
     if op == O_OR:
         if f:
             def or_imm(m, ctx):
-                m.entered_block = -1
                 regs = m.regs
                 regs[a] = regs[b] | c
                 m.pc = nxt
@@ -508,7 +489,6 @@ def _make_handler(image: ExecImage, pc: int):
             return or_imm
 
         def or_reg(m, ctx):
-            m.entered_block = -1
             regs = m.regs
             regs[a] = regs[b] | regs[c]
             m.pc = nxt
@@ -517,7 +497,6 @@ def _make_handler(image: ExecImage, pc: int):
     if op == O_XOR:
         if f:
             def xor_imm(m, ctx):
-                m.entered_block = -1
                 regs = m.regs
                 regs[a] = regs[b] ^ c
                 m.pc = nxt
@@ -525,7 +504,6 @@ def _make_handler(image: ExecImage, pc: int):
             return xor_imm
 
         def xor_reg(m, ctx):
-            m.entered_block = -1
             regs = m.regs
             regs[a] = regs[b] ^ regs[c]
             m.pc = nxt
@@ -536,7 +514,6 @@ def _make_handler(image: ExecImage, pc: int):
             sh = c & 63
 
             def shl_imm(m, ctx):
-                m.entered_block = -1
                 regs = m.regs
                 regs[a] = (regs[b] << sh) & WORD_MASK
                 m.pc = nxt
@@ -544,7 +521,6 @@ def _make_handler(image: ExecImage, pc: int):
             return shl_imm
 
         def shl_reg(m, ctx):
-            m.entered_block = -1
             regs = m.regs
             regs[a] = (regs[b] << (regs[c] & 63)) & WORD_MASK
             m.pc = nxt
@@ -555,7 +531,6 @@ def _make_handler(image: ExecImage, pc: int):
             sh = c & 63
 
             def shr_imm(m, ctx):
-                m.entered_block = -1
                 regs = m.regs
                 regs[a] = regs[b] >> sh
                 m.pc = nxt
@@ -563,7 +538,6 @@ def _make_handler(image: ExecImage, pc: int):
             return shr_imm
 
         def shr_reg(m, ctx):
-            m.entered_block = -1
             regs = m.regs
             regs[a] = regs[b] >> (regs[c] & 63)
             m.pc = nxt
@@ -572,12 +546,10 @@ def _make_handler(image: ExecImage, pc: int):
     if op == O_DIV:
         if f and c == 0:
             def div_zero(m, ctx):
-                m.entered_block = -1
                 return m._fault(ctx, F_DIV, pc, 0)
             return div_zero
         if f:
             def div_imm(m, ctx):
-                m.entered_block = -1
                 regs = m.regs
                 regs[a] = regs[b] // c
                 m.pc = nxt
@@ -585,7 +557,6 @@ def _make_handler(image: ExecImage, pc: int):
             return div_imm
 
         def div_reg(m, ctx):
-            m.entered_block = -1
             regs = m.regs
             d = regs[c]
             if d == 0:
@@ -599,7 +570,6 @@ def _make_handler(image: ExecImage, pc: int):
         at = image.iid_of[pc]
         if op == O_LOAD:
             def load(m, ctx):
-                m.entered_block = -1
                 regs = m.regs
                 ea = (regs[b] + c) & WORD_MASK
                 kind, ref, off = m._classify(ea, 8)
@@ -611,12 +581,10 @@ def _make_handler(image: ExecImage, pc: int):
                     regs[a] = m._read8_redzone_zeroed(ea)
                     m.pc = nxt
                     return OUT_OK
-                m.fault = Fault(F_OOB, at, AccessClass(kind, ref, off))
-                return OUT_FAULT
+                return Fault(F_OOB, at, AccessClass(kind, ref, off))
             return load
 
         def store(m, ctx):
-            m.entered_block = -1
             regs = m.regs
             ea = (regs[b] + c) & WORD_MASK
             kind, ref, off = m._classify(ea, 8)
@@ -628,32 +596,28 @@ def _make_handler(image: ExecImage, pc: int):
                 m.raw_write8(ea, regs[a], ctx.wlog)
                 m.pc = nxt
                 return OUT_OK
-            m.fault = Fault(F_OOB, at, AccessClass(kind, ref, off))
-            return OUT_FAULT
+            return Fault(F_OOB, at, AccessClass(kind, ref, off))
         return store
     if op == O_JMP:
         t_pc = starts[a]
 
         def jmp(m, ctx):
             m.pc = t_pc
-            m.entered_block = a
             return OUT_OK
         return jmp
     if op == O_JTAB:
-        targets = tuple((starts[bi], bi) for bi in b)
+        targets = tuple(starts[bi] for bi in b)
         n_targets = len(targets)
 
         def jtab(m, ctx):
             idx = m.regs[a]
             if idx >= n_targets:
-                m.entered_block = -1
                 return m._fault(ctx, F_JTAB, pc, idx)
-            m.pc, m.entered_block = targets[idx]
+            m.pc = targets[idx]
             return OUT_OK
         return jtab
     if op == O_ALLOC:
         def alloc(m, ctx):
-            m.entered_block = -1
             base = m.alloc.alloc(b if f else m.regs[b])
             if base is None:
                 return m._fault(ctx, F_HEAP, pc, 0)
@@ -662,26 +626,22 @@ def _make_handler(image: ExecImage, pc: int):
             return OUT_OK
         return alloc
     if op == O_CALL:
-        callee = image.fn_entry[a]
-        callee_pc = starts[callee]
+        callee_pc = starts[image.fn_entry[a]]
         ret_word = image.encode_ret(nxt)
 
         def call(m, ctx):
             new_sp = m.sp - 8
             if new_sp < STACK_LO:
-                m.entered_block = -1
                 return m._fault(ctx, F_STACK, pc, 0)
             m.raw_write8(new_sp, ret_word, ctx.wlog if ctx is not None else None)
             m.sp = new_sp
             m.pc = callee_pc
-            m.entered_block = callee
             return OUT_OK
         return call
     if op == O_RET:
         n_code = len(image.code)
 
         def ret(m, ctx):
-            m.entered_block = -1
             sp = m.sp
             if sp >= STACK_HI:
                 return m._fault(ctx, F_RET, pc, 0)
@@ -695,7 +655,6 @@ def _make_handler(image: ExecImage, pc: int):
         return ret
     if op == O_INPUT:
         def input_(m, ctx):
-            m.entered_block = -1
             data = m.input
             m.regs[a] = data[b] if b < len(data) else 0
             m.pc = nxt
@@ -703,21 +662,17 @@ def _make_handler(image: ExecImage, pc: int):
         return input_
     if op == O_INPUTLEN:
         def inputlen(m, ctx):
-            m.entered_block = -1
             m.regs[a] = len(m.input)
             m.pc = nxt
             return OUT_OK
         return inputlen
     if op == O_FENCE:
         def fence(m, ctx):
-            m.entered_block = -1
             m.pc = nxt
             return OUT_OK
         return fence
     if op == O_HALT:
         def halt(m, ctx):
-            m.entered_block = -1
-            m.halted = True
             return OUT_HALT
         return halt
     raise AssertionError(f"undecoded op {op}")  # pragma: no cover
@@ -732,10 +687,7 @@ class Machine:
     and the allocation table are its own.
     """
 
-    __slots__ = (
-        "image", "input", "regs", "fa", "fb", "pc", "sp",
-        "halted", "pages", "alloc", "fault", "entered_block",
-    )
+    __slots__ = ("image", "input", "regs", "fa", "fb", "pc", "sp", "pages", "alloc")
 
     def __init__(self, image: ExecImage, input_bytes: bytes):
         self.image = image
@@ -745,18 +697,14 @@ class Machine:
         self.fb = 0
         self.pc = image.block_starts[image.entry_block]
         self.sp = STACK_HI
-        self.halted = False
         self.pages: dict[int, bytearray] = {}
         self.alloc = AllocationTable()
-        self.fault: Fault | None = None
-        self.entered_block = -1
         if image.program.data:
             self._blit(STATIC_BASE, image.program.data)
 
     def fork(self, input_bytes: bytes) -> "Machine":
         """A machine in this one's state that reads input_bytes, with
-        independent copies of everything a run can change, not halted, with
-        no fault and no block just entered."""
+        independent copies of everything a run can change."""
         m = Machine.__new__(Machine)
         m.image = self.image
         m.input = input_bytes
@@ -765,15 +713,12 @@ class Machine:
         m.fb = self.fb
         m.pc = self.pc
         m.sp = self.sp
-        m.halted = False
         m.pages = {no: bytearray(page) for no, page in self.pages.items()}
         src = self.alloc
         alloc = m.alloc = AllocationTable.__new__(AllocationTable)
         alloc.bump = src.bump
         alloc.recs = src.recs[:]
         alloc.bases = src.bases[:]
-        m.fault = None
-        m.entered_block = -1
         return m
 
     # -- raw memory -------------------------------------------------------
@@ -927,30 +872,29 @@ class Machine:
         """Move pc to the BR's outcome (or its inverse); returns target block."""
         cond, t_pc, tb, f_pc, fb = self.image.br[flat]
         if cond(self.fa, self.fb) != invert:
-            self.pc, self.entered_block = t_pc, tb
+            self.pc = t_pc
             return tb
-        self.pc, self.entered_block = f_pc, fb
+        self.pc = f_pc
         return fb
 
     # -- the step function --------------------------------------------------
 
-    def step(self, ctx=None) -> int:
+    def step(self, ctx=None) -> int | Fault:
         """Execute one instruction.
 
         ctx None: architectural semantics (OOB and decode failures fault).
         ctx set: speculative semantics; access and fault policy are delegated
         to ctx (a detect.SpecContext), memory writes are logged to ctx.wlog.
-        Returns OUT_OK, OUT_HALT, or OUT_FAULT (details in self.fault).
+        Returns OUT_OK, OUT_HALT, or the Fault the instruction raised.
         """
         return self.image.handlers[self.pc](self, ctx)
 
-    def _fault(self, ctx, kind: str, pc: int, value: int) -> int:
-        """Record a non-access fault at pc; under speculation ctx also sees
-        it, with the offending value for corrupted control transfers."""
-        self.fault = Fault(kind, self.image.iid_of[pc])
+    def _fault(self, ctx, kind: str, pc: int, value: int) -> Fault:
+        """The non-access fault at pc; under speculation ctx also sees it,
+        with the offending value for corrupted control transfers."""
         if ctx is not None:
             ctx.on_speculative_fault(self.image.iid_str[pc], kind, value)
-        return OUT_FAULT
+        return Fault(kind, self.image.iid_of[pc])
 
 
 @dataclass
@@ -985,10 +929,15 @@ class RunResult:
                 self.machine.alloc.bump)
 
 
-def _result(m: Machine, steps: int, fault: Fault | None) -> RunResult:
+def _result(m: Machine, steps: int, out: int | Fault) -> RunResult:
+    """The result of a run that stopped after steps steps with outcome out:
+    OUT_HALT, the Fault that ended it, or OUT_OK when it reached its step
+    limit, which is reported as a step-limit fault at pc."""
     pc_iid = m.image.iid_of[m.pc] if m.pc < len(m.image.code) else None
-    return RunResult(tuple(m.regs), (m.fa, m.fb), pc_iid, m.sp, m.halted,
-                     steps, fault, m)
+    if out == OUT_OK:
+        out = Fault(F_STEP, pc_iid)
+    return RunResult(tuple(m.regs), (m.fa, m.fb), pc_iid, m.sp, out == OUT_HALT,
+                     steps, out if isinstance(out, Fault) else None, m)
 
 
 def run_architectural(
@@ -1001,25 +950,20 @@ def run_architectural(
     image = program if isinstance(program, ExecImage) else ExecImage(program)
     m = Machine(image, input_bytes)
     steps = 0
-    fault = None
+    out = OUT_OK
     handlers = image.handlers
     while steps < max_steps:
         out = handlers[m.pc](m, None)
         steps += 1
-        if out == OUT_HALT:
+        if out:
             break
-        if out == OUT_FAULT:
-            fault = m.fault
-            break
-    else:
-        fault = Fault(F_STEP, image.iid_of[m.pc] if m.pc < len(image.code) else None)
-    return _result(m, steps, fault)
+    return _result(m, steps, out)
 
 
 __all__ = [
     "A_VALID", "A_SCRATCH", "A_REDZONE", "A_UNMAPPED",
     "F_OOB", "F_DIV", "F_JTAB", "F_RET", "F_STACK", "F_HEAP", "F_STEP",
-    "OUT_OK", "OUT_HALT", "OUT_FAULT",
+    "OUT_OK", "OUT_HALT",
     "SCRATCH_BASE", "SCRATCH_SIZE", "STATIC_BASE", "STACK_LO", "STACK_HI",
     "HEAP_BASE", "HEAP_CEILING", "REDZONE", "REFERENT_WINDOW",
     "AccessClass", "Fault", "AllocationTable", "ExecImage",

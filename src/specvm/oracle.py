@@ -3,12 +3,13 @@
 This module deliberately shares almost nothing with engine.py: it reuses
 only the instruction set, the single-step interpreter and the machine
 copy, and takes its default window, stride and retire reasons from the
-engine's constants so that both sides default and report alike.  Instead
-of checkpoints and rollback it enumerates forced-outcome scripts.  One
-architectural pass runs the program; at each branch occurrence it runs
-that root's scripts, each on its own ``Machine.fork`` of the pass's
-machine, then steps the branch and goes on.  It collects every violation
-each script surfaces.
+engine's constants, and the checks on its bounds from SpecConfig, so that
+both sides default, validate and report alike.  Instead of checkpoints
+and rollback it enumerates forced-outcome scripts.  One architectural
+pass runs the program; at each branch occurrence it runs that root's
+scripts, each on its own ``Machine.fork`` of the pass's machine, then
+steps the branch and goes on.  It collects every violation each script
+surfaces.
 
 A script names one architectural branch occurrence as its root (that
 outcome is inverted) plus an ascending list of later speculative branch
@@ -33,6 +34,7 @@ from .engine import (
     RETIRE_FENCE,
     RETIRE_HALT,
     RETIRE_WINDOW,
+    SpecConfig,
 )
 from .isa import Program
 from .machine import (
@@ -40,8 +42,9 @@ from .machine import (
     O_BR,
     O_CALL,
     O_FENCE,
+    O_JMP,
+    O_JTAB,
     O_RET,
-    OUT_FAULT,
     OUT_HALT,
     ExecImage,
     Machine,
@@ -49,6 +52,10 @@ from .machine import (
 
 SCRIPT_LIMIT = 1 << 16
 ORACLE_MAX_ORDER = 1
+
+# The opcodes that, when they complete, leave pc at the start of the block
+# they entered.
+_ENTERS_BLOCK = (O_BR, O_JMP, O_JTAB, O_CALL)
 
 
 class OracleError(RuntimeError):
@@ -81,6 +88,7 @@ def _run_script(m: Machine, root: str, occurrence: int, forced: tuple[int, ...],
     image = m.image
     code = image.code
     iid_str = image.iid_str
+    block_of = image.block_of
     ctx = SpecContext()
     ctx.branches.append(root)
     forced_set = set(forced)
@@ -119,19 +127,16 @@ def _run_script(m: Machine, root: str, occurrence: int, forced: tuple[int, ...],
                 remaining = image.block_lens[target]
                 budget = 0
                 continue
-        was_call = op == O_CALL
         out = m.step(ctx)
-        if out == OUT_HALT:
-            retire = RETIRE_HALT
+        if out:
+            retire = RETIRE_HALT if out == OUT_HALT else RETIRE_FAULT
             break
-        if out == OUT_FAULT:
-            retire = RETIRE_FAULT
-            break
-        if m.entered_block >= 0:
-            if was_call:
+        if op in _ENTERS_BLOCK:
+            if op == O_CALL:
                 acct.append((remaining, budget))
-            blocks.append(m.entered_block)
-            remaining = image.block_lens[m.entered_block]
+            target = block_of[m.pc]
+            blocks.append(target)
+            remaining = image.block_lens[target]
             budget = 0
         elif op == O_RET:
             if acct:
@@ -151,15 +156,11 @@ def enumerate_paths(program: Program | ExecImage, input_bytes: bytes = b"",
                     script_limit: int = SCRIPT_LIMIT) -> OracleOutcome:
     """Enumerate every speculative path up to max_order nested inversions and
     return the union of violations along with per-script outcomes."""
-    image = program if isinstance(program, ExecImage) else ExecImage(program)
-    # The bounds SpecConfig puts on the engine: with stride 0 a path never
+    # The engine's bounds, checked by SpecConfig: with stride 0 a path never
     # charges its window, so a speculative loop would never retire.
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
+    SpecConfig(window=window, stride=stride, max_order=max_order,
+               max_steps=max_steps)
+    image = program if isinstance(program, ExecImage) else ExecImage(program)
     records: list[ViolationRecord] = []
     keys: set = set()
     scripts: list[ScriptOutcome] = []
@@ -190,7 +191,7 @@ def enumerate_paths(program: Program | ExecImage, input_bytes: bytes = b"",
                     start = forced[-1] + 1 if forced else 1
                     for k in range(start, outcome.encounters + 1):
                         frontier.append(forced + (k,))
-        if m.step(None) != 0:
+        if m.step(None):
             break
         steps += 1
     return OracleOutcome(records, keys, scripts)

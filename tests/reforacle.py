@@ -12,6 +12,7 @@ tests/test_oracle.py compares ``records``, ``keys`` and every
 ``ScriptOutcome`` field of the two.
 """
 
+from refspec import ENTERS_BLOCK, block_at
 from specvm.detect import SpecContext
 from specvm.engine import (
     DEFAULT_STRIDE,
@@ -27,7 +28,6 @@ from specvm.machine import (
     O_CALL,
     O_FENCE,
     O_RET,
-    OUT_FAULT,
     OUT_HALT,
     ExecImage,
     Machine,
@@ -49,7 +49,7 @@ def _arch_roots(image, input_bytes, max_steps):
             occ = seen.get(iid, 0) + 1
             seen[iid] = occ
             roots.append((iid, occ))
-        if m.step(None) != 0:
+        if m.step(None):
             break
         steps += 1
     return roots
@@ -62,6 +62,7 @@ def _run_script(image, input_bytes, root, occurrence, forced, window, stride,
     m = Machine(image, input_bytes)
     code = image.code
     iid_str = image.iid_str
+    starts = block_at(image)
 
     # Architectural prefix up to the root occurrence.
     occ = 0
@@ -74,7 +75,7 @@ def _run_script(image, input_bytes, root, occurrence, forced, window, stride,
             occ += 1
             if occ == occurrence:
                 break
-        if m.step(None) != 0:
+        if m.step(None):
             raise OracleError(f"root {root}@{occurrence} not reached")
         steps += 1
 
@@ -117,19 +118,19 @@ def _run_script(image, input_bytes, root, occurrence, forced, window, stride,
                 remaining = image.block_lens[target]
                 budget = 0
                 continue
-        was_call = op == O_CALL
         out = m.step(ctx)
         if out == OUT_HALT:
             retire = RETIRE_HALT
             break
-        if out == OUT_FAULT:
+        if out:
             retire = RETIRE_FAULT
             break
-        if m.entered_block >= 0:
-            if was_call:
+        if op in ENTERS_BLOCK:
+            if op == O_CALL:
                 acct.append((remaining, budget))
-            blocks.append(m.entered_block)
-            remaining = image.block_lens[m.entered_block]
+            entered = starts[m.pc]
+            blocks.append(entered)
+            remaining = image.block_lens[entered]
             budget = 0
         elif op == O_RET:
             if acct:

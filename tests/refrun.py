@@ -8,17 +8,18 @@ of the start state, so tests/test_snapshot.py can check that starting every
 run from a fork of the engine's prefix snapshot changes no trace.
 """
 
+from refspec import ENTERS_BLOCK, block_at
 from specvm.detect import SpecContext
 from specvm.engine import RunTrace, allowed_order
 from specvm.machine import (
     F_STEP,
     O_BR,
     O_RET,
-    OUT_FAULT,
     OUT_HALT,
+    OUT_OK,
     Fault,
     Machine,
-    _result,
+    RunResult,
 )
 
 
@@ -35,9 +36,10 @@ def reference_run(engine, input_bytes: bytes, stats=None,
     edges: set[tuple[int, int]] = set()
     code = image.code
     handlers = image.handlers
+    starts = block_at(image)
     cur_block = image.entry_block
     steps = 0
-    fault = None
+    out = OUT_OK
     while steps < cfg.max_steps:
         pc = m.pc
         op = code[pc][0]
@@ -54,17 +56,17 @@ def reference_run(engine, input_bytes: bytes, stats=None,
             engine._spec_run(1, order, pc, 0, [])
         out = handlers[pc](m, None)
         steps += 1
-        if out == OUT_HALT:
+        if out:
             break
-        if out == OUT_FAULT:
-            fault = m.fault
-            break
-        if m.entered_block >= 0:
-            edges.add((cur_block, m.entered_block))
-            cur_block = m.entered_block
+        if op in ENTERS_BLOCK:
+            edges.add((cur_block, starts[m.pc]))
+            cur_block = starts[m.pc]
         elif op == O_RET:
             cur_block = image.block_of[m.pc]
-    else:
-        fault = Fault(F_STEP, image.iid_of[m.pc] if m.pc < len(image.code) else None)
-    return RunTrace(_result(m, steps, fault), ctx.records, edges, order_of,
-                    steps, engine.spec_steps, engine.retired)
+    if out == OUT_OK:  # the step limit
+        out = Fault(F_STEP, image.iid_of[m.pc])
+    result = RunResult(tuple(m.regs), (m.fa, m.fb), image.iid_of[m.pc], m.sp,
+                       out == OUT_HALT, steps,
+                       out if isinstance(out, Fault) else None, m)
+    return RunTrace(result, ctx.records, edges, order_of, steps,
+                    engine.spec_steps, engine.retired)

@@ -3,10 +3,11 @@ opening that the engine's kind-dispatched ones replace.
 
 ``ReferenceEngine`` is an ExposureEngine whose ``_spec_run``,
 ``push_checkpoint`` and ``rollback`` are the plain versions.  Its path loop
-dispatches on the opcode read from ``ExecImage.code`` on every step and
-reads ``entered_block`` after every instruction.  Its checkpoint saves the
-whole machine state, halt flag and allocation snapshot included, and
-rollback copies the registers back.  It opens a path through
+dispatches on the opcode read from ``ExecImage.code`` on every step and,
+after a BR, JMP, JTAB or CALL that completed, takes the block entered from
+``ExecImage.blocks``, as the one that starts at pc.  Its checkpoint saves
+registers, flags, pc, sp and an allocation snapshot, and rollback copies
+the registers back.  It opens a path through
 ``force_branch`` below, which decodes the BR from ``ExecImage.code`` and
 evaluates its condition with refstep's, so it reads neither the branch
 table nor the kind table.  ``refrun.reference_run`` drives it from a fresh
@@ -26,7 +27,7 @@ from specvm.engine import (
     EngineError,
     ExposureEngine,
 )
-from specvm.machine import O_BR, O_CALL, O_FENCE, O_RET, OUT_FAULT, OUT_HALT
+from specvm.machine import O_BR, O_CALL, O_FENCE, O_JMP, O_JTAB, O_RET, OUT_HALT
 
 
 def alloc_snapshot(alloc) -> tuple[int, int]:
@@ -49,18 +50,31 @@ def force_branch(m, flat: int, invert: bool) -> int:
         holds = not holds
     bi = tb if holds else fb
     m.pc = m.image.blocks[bi][0]
-    m.entered_block = bi
     return bi
 
 
+# The opcodes that enter a block when they complete.
+ENTERS_BLOCK = (O_BR, O_JMP, O_JTAB, O_CALL)
+
+
+def block_at(image) -> dict[int, int]:
+    """Each block's index by its start, from ExecImage.blocks; a pc that
+    starts no block has no entry."""
+    return {blk[0]: bi for bi, blk in enumerate(image.blocks)}
+
+
 class ReferenceEngine(ExposureEngine):
+
+    def __init__(self, program, config=None):
+        super().__init__(program, config)
+        self.block_at = block_at(self.image)
 
     def push_checkpoint(self, branch_iid: str) -> None:
         if len(self.checkpoints) > self.cfg.max_order:
             raise EngineError("checkpoint-overflow")
         m = self.m
         self.checkpoints.append((
-            m.regs[:], m.fa, m.fb, m.pc, m.sp, m.halted,
+            m.regs[:], m.fa, m.fb, m.pc, m.sp,
             alloc_snapshot(m.alloc), len(self.ctx.wlog),
         ))
         self.ctx.branches.append(branch_iid)
@@ -68,7 +82,7 @@ class ReferenceEngine(ExposureEngine):
     def rollback(self) -> None:
         if not self.checkpoints:
             raise EngineError("internal-log-underflow")
-        regs, fa, fb, pc, sp, halted, asnap, nlog = self.checkpoints.pop()
+        regs, fa, fb, pc, sp, asnap, nlog = self.checkpoints.pop()
         m = self.m
         wlog = self.ctx.wlog
         if len(wlog) < nlog:
@@ -77,8 +91,7 @@ class ReferenceEngine(ExposureEngine):
             addr, old = wlog.pop()
             m.undo_write(addr, old)
         m.regs[:] = regs
-        m.fa, m.fb, m.pc, m.sp, m.halted = fa, fb, pc, sp, halted
-        m.fault = None
+        m.fa, m.fb, m.pc, m.sp = fa, fb, pc, sp
         alloc_restore(m.alloc, asnap)
         self.ctx.branches.pop()
 
@@ -121,14 +134,13 @@ class ReferenceEngine(ExposureEngine):
             if out == OUT_HALT:
                 reason = RETIRE_HALT
                 break
-            if out == OUT_FAULT:
+            if out:
                 reason = RETIRE_FAULT
                 break
-            entered = m.entered_block
-            if entered >= 0:
+            if op in ENTERS_BLOCK:
                 if op == O_CALL:
                     acct.append((remaining, budget))
-                remaining = block_lens[entered]
+                remaining = block_lens[self.block_at[m.pc]]
                 budget = 0
             elif op == O_RET:
                 if acct:

@@ -1,11 +1,13 @@
 """Reference stepper: the plain if-chain interpreter the handlers replace.
 
 ``reference_step(machine, ctx)`` executes one instruction of ``machine``
-exactly as the threaded ``Machine.step`` must: same return value, state,
-fault, ``SpecContext`` records and write log.  It decodes each instruction
-from ``ExecImage.code`` on every call, dispatches on the opcode and reads
-block starts from ``ExecImage.blocks``, so it shares no dispatch, condition
-or block-table code with the handlers.  Memory, the allocator and access
+exactly as the threaded ``Machine.step`` must: same outcome (OUT_OK,
+OUT_HALT or the Fault), state, ``SpecContext`` records and write log.  It
+also returns the block a completed BR, JMP, JTAB or CALL entered, so that
+the lockstep can check that pc is that block's start.  It decodes each
+instruction from ``ExecImage.code`` on every call, dispatches on the opcode
+and reads block starts from ``ExecImage.blocks``, so it shares no
+dispatch, condition or block-table code with the handlers.  Memory, the allocator and access
 classification are shared; tests/test_machine.py checks those against
 linear references of their own.
 
@@ -47,7 +49,6 @@ from specvm.machine import (
     O_STORE,
     O_SUB,
     O_XOR,
-    OUT_FAULT,
     OUT_HALT,
     OUT_OK,
     STACK_HI,
@@ -71,58 +72,53 @@ def _cc_eval(cc: int, a: int, b: int) -> bool:
     return a >= b
 
 
-def reference_step(self, ctx=None) -> int:
+def reference_step(self, ctx=None) -> tuple:
     """Execute one instruction.
 
     ctx None: architectural semantics (OOB and decode failures fault).
     ctx set: speculative semantics; access and fault policy are delegated
     to ctx (a detect.SpecContext), memory writes are logged to ctx.wlog.
-    Returns OUT_OK, OUT_HALT, or OUT_FAULT (details in self.fault).
+    Returns (outcome, block): OUT_OK, OUT_HALT or the Fault raised, and the
+    block a completed BR, JMP, JTAB or CALL entered, else -1.
     """
     image = self.image
     pc = self.pc
     op, a, b, c, f = image.code[pc]
     regs = self.regs
-    self.entered_block = -1
 
     if op == O_BR:
         holds = _cc_eval(a, self.fa, self.fb)
-        bi = b if holds else c
-        self.pc = image.blocks[bi][0]
-        self.entered_block = bi
-        return OUT_OK
+        return _enter(self, b if holds else c)
     if op == O_CONST:
         regs[a] = b
         self.pc = pc + 1
-        return OUT_OK
+        return OUT_OK, -1
     if op == O_LOAD:
         ea = (regs[b] + c) & WORD_MASK
         kind, ref, off = self._classify(ea, 8)
         if kind <= A_SCRATCH:
             regs[a] = self.raw_read8(ea)
             self.pc = pc + 1
-            return OUT_OK
+            return OUT_OK, -1
         if ctx is not None and ctx.on_speculative_access(
                 image.iid_str[pc], kind, ea, ref, off):
             regs[a] = self._read8_redzone_zeroed(ea)
             self.pc = pc + 1
-            return OUT_OK
-        self.fault = Fault(F_OOB, image.iid_of[pc], AccessClass(kind, ref, off))
-        return OUT_FAULT
+            return OUT_OK, -1
+        return Fault(F_OOB, image.iid_of[pc], AccessClass(kind, ref, off)), -1
     if op == O_STORE:
         ea = (regs[b] + c) & WORD_MASK
         kind, ref, off = self._classify(ea, 8)
         if kind <= A_SCRATCH:
             self.raw_write8(ea, regs[a], ctx.wlog if ctx is not None else None)
             self.pc = pc + 1
-            return OUT_OK
+            return OUT_OK, -1
         if ctx is not None and ctx.on_speculative_access(
                 image.iid_str[pc], kind, ea, ref, off):
             self.raw_write8(ea, regs[a], ctx.wlog)
             self.pc = pc + 1
-            return OUT_OK
-        self.fault = Fault(F_OOB, image.iid_of[pc], AccessClass(kind, ref, off))
-        return OUT_FAULT
+            return OUT_OK, -1
+        return Fault(F_OOB, image.iid_of[pc], AccessClass(kind, ref, off)), -1
     if op == O_ADD:
         regs[a] = (regs[b] + (c if f else regs[c])) & WORD_MASK
     elif op == O_SUB:
@@ -152,17 +148,12 @@ def reference_step(self, ctx=None) -> int:
     elif op == O_MOV:
         regs[a] = regs[b]
     elif op == O_JMP:
-        self.pc = image.blocks[a][0]
-        self.entered_block = a
-        return OUT_OK
+        return _enter(self, a)
     elif op == O_JTAB:
         idx = regs[a]
         if idx >= len(b):
             return _fault(self, ctx, F_JTAB, pc, idx)
-        bi = b[idx]
-        self.pc = image.blocks[bi][0]
-        self.entered_block = bi
-        return OUT_OK
+        return _enter(self, b[idx])
     elif op == O_ALLOC:
         size = b if f else regs[b]
         base = self.alloc.alloc(size)
@@ -175,10 +166,7 @@ def reference_step(self, ctx=None) -> int:
             return _fault(self, ctx, F_STACK, pc, 0)
         self.raw_write8(new_sp, image.encode_ret(pc + 1), ctx.wlog if ctx is not None else None)
         self.sp = new_sp
-        bi = image.fn_entry[a]
-        self.pc = image.blocks[bi][0]
-        self.entered_block = bi
-        return OUT_OK
+        return _enter(self, image.fn_entry[a])
     elif op == O_RET:
         if self.sp >= STACK_HI:
             return _fault(self, ctx, F_RET, pc, 0)
@@ -188,7 +176,7 @@ def reference_step(self, ctx=None) -> int:
             return _fault(self, ctx, F_RET, pc, value)
         self.sp += 8
         self.pc = target
-        return OUT_OK
+        return OUT_OK, -1
     elif op == O_INPUT:
         regs[a] = self.input[b] if b < len(self.input) else 0
     elif op == O_INPUTLEN:
@@ -196,18 +184,23 @@ def reference_step(self, ctx=None) -> int:
     elif op == O_FENCE:
         pass
     elif op == O_HALT:
-        self.halted = True
-        return OUT_HALT
+        return OUT_HALT, -1
     else:  # pragma: no cover
         raise AssertionError(f"undecoded op {op}")
     self.pc = pc + 1
-    return OUT_OK
+    return OUT_OK, -1
 
-def _fault(self, ctx, kind: str, pc: int, value: int) -> int:
-    """Record a non-access fault at pc; under speculation ctx also sees
-    it, with the offending value for corrupted control transfers."""
-    self.fault = Fault(kind, self.image.iid_of[pc])
+
+def _enter(self, bi: int) -> tuple:
+    """Complete a control transfer into block bi."""
+    self.pc = self.image.blocks[bi][0]
+    return OUT_OK, bi
+
+
+def _fault(self, ctx, kind: str, pc: int, value: int) -> tuple:
+    """The non-access fault at pc; under speculation ctx also sees it, with
+    the offending value for corrupted control transfers."""
     if ctx is not None:
         ctx.on_speculative_fault(self.image.iid_str[pc], kind, value)
-    return OUT_FAULT
+    return Fault(kind, self.image.iid_of[pc]), -1
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from fencescan import fence_guarded_branches
 from genprog import random_input, random_program
 from specvm.analyze import (
     CLASS_CONTROLLED,
@@ -30,7 +31,6 @@ from specvm.engine import (
 from specvm.fuzzing import FuzzConfig, fuzz_loop
 from specvm.gadgets import MAIN_IDS, builtin_gadget, gadget_ids
 from specvm.harden import (
-    fence_guarded_branches,
     fence_pass,
     slh_pass,
     verify_hardening,

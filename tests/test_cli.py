@@ -284,6 +284,27 @@ def test_analyze_takes_identity_from_config(session_dir, tmp_path, capsys):
     assert "targets=[0x" in out and "alloc#" not in out
 
 
+@pytest.mark.parametrize("flags, option", [
+    (["--min-triggers", "-5"], "--min-triggers"),
+    (["--whitelist-min", "-1"], "--whitelist-min"),
+    (["--config", "{dir}/neg.cfg"], "--whitelist-min"),
+], ids=["min-triggers", "whitelist-min", "config"])
+def test_analyze_rejects_negative_thresholds(flags, option, tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("")
+    stats = tmp_path / "stats.json"
+    stats.write_text('{"counts": {}}\n')
+    (tmp_path / "neg.cfg").write_text("whitelist_min=-1\n")
+    wl = tmp_path / "wl.txt"
+    argv = ["analyze", str(trace), "--stats", str(stats), "--whitelist-out",
+            str(wl)] + [f.format(dir=tmp_path) for f in flags]
+    assert exit_code(argv) == 1
+    err = capsys.readouterr().err
+    assert f"argument {option}: must be at least 0" in err
+    assert "Traceback" not in err
+    assert not wl.exists()
+
+
 def test_analyze_whitelist_needs_stats(session_dir, tmp_path):
     assert main(["analyze", str(session_dir / "trace.jsonl"),
                  "--whitelist-out", str(tmp_path / "wl.txt")]) == 1

@@ -2,13 +2,13 @@
 
 import pytest
 
+from fencescan import fence_guarded_branches
 from specvm.engine import SpecConfig, full_order_stats, run_with_exposure
 from specvm.gadgets import builtin_gadget, gadget_ids
 from specvm.harden import (
     MASK_REG,
     SCRATCH_REG,
     HardenError,
-    fence_guarded_branches,
     fence_pass,
     slh_pass,
     verify_hardening,

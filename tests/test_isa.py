@@ -119,8 +119,9 @@ def test_diagnostics_carry_line_numbers():
 
 def test_duplicate_label_is_diagnosed():
     with pytest.raises(AsmError) as ei:
-        parse_program("fn main:\ne:\n  halt\ne:\n  halt\n")
-    assert any("duplicate label" in d.message for d in ei.value.diagnostics)
+        parse_program("fn main:\nentry:\n  halt\nentry:\n  halt\n")
+    assert [(d.line, d.message) for d in ei.value.diagnostics] == [
+        (4, "duplicate label 'entry' in fn main")]
 
 
 def test_duplicate_function_is_diagnosed():

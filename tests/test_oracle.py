@@ -141,6 +141,12 @@ def test_window_and_stride_must_be_positive(bound):
         SpecConfig(**{bound: 0})
 
 
+def test_max_steps_must_be_positive():
+    # SpecConfig checks the oracle's bounds, so max_steps too.
+    with pytest.raises(ValueError, match="^max_steps must be at least 1$"):
+        enumerate_paths(builtin_gadget(1).program, b"\x09", max_steps=0)
+
+
 def test_keys_match_engine_on_gadgets():
     for gid in (1, 11, 13, 17, 18):
         g = builtin_gadget(gid)

@@ -2,7 +2,9 @@
 
 Two machines run the same program and input: one through Machine.step (the
 per-instruction handlers), one through refstep.reference_step.  After every
-instruction the return value and the whole visible state must agree.
+instruction the outcome, the Fault included, and the whole machine state
+must agree, and after a completed control transfer pc must be the start of
+the block the reference entered.
 Speculative runs hand each machine its own SpecContext and at random
 branches force both down the inverted outcome, as the exposure engine
 does, so the access and fault policy hooks and the write log are compared
@@ -51,8 +53,7 @@ def _state(m: Machine, ctx: SpecContext | None) -> tuple:
     during lockstep, it takes the length and the last entry: comparing the
     whole log after every step would cost time quadratic in the writes.
     lockstep compares the whole logs once, at the end."""
-    return (m.regs, m.fa, m.fb, m.pc, m.sp, m.halted, m.entered_block,
-            m.fault, m.alloc.recs,
+    return (m.regs, m.fa, m.fb, m.pc, m.sp, m.alloc.recs,
             None if ctx is None else (ctx.records, ctx.branches,
                                       len(ctx.wlog), ctx.wlog[-1:]))
 
@@ -86,9 +87,9 @@ def lockstep(image: ExecImage, data: bytes, speculative: bool, seed: int = 0,
     every step; returns the number of steps taken.  With speculative set,
     each BR is forced down its inverted outcome with probability 1/2.
 
-    After every step of an instruction whose kind enters no block,
-    entered_block must be -1: the engine's loops read it only after the
-    other kinds."""
+    Exactly the completed steps of the kinds at or above K_BR enter a
+    block, and block_of at the new pc, where the engine's loops look it up,
+    must name it."""
     check_tables(image)
     fast, ref = Machine(image, data), Machine(image, data)
     fast_ctx = SpecContext(input_id="x") if speculative else None
@@ -106,17 +107,19 @@ def lockstep(image: ExecImage, data: bytes, speculative: bool, seed: int = 0,
             fast_ctx.branches.append(iid)
             ref_ctx.branches.append(iid)
             assert fast.force_branch(pc, invert=True) == target
-            ref.pc, ref.entered_block = image.blocks[target][0], target
+            ref.pc = image.blocks[target][0]
             assert _state(fast, fast_ctx) == _state(ref, ref_ctx), (step, pc)
+            assert image.block_of[fast.pc] == target, (step, pc)
             continue
         out = fast.step(fast_ctx)
-        want = reference_step(ref, ref_ctx)
+        want, entered = reference_step(ref, ref_ctx)
         assert out == want, (step, pc)
         assert _state(fast, fast_ctx) == _state(ref, ref_ctx), (step, pc)
-        if image.kinds[pc] < K_BR:
-            assert fast.entered_block == -1, (step, pc)
-        elif out == OUT_OK:
-            assert fast.entered_block >= 0, (step, pc)
+        assert (entered >= 0) == (image.kinds[pc] >= K_BR and out == OUT_OK), \
+            (step, pc)
+        if entered >= 0:
+            assert fast.pc == image.blocks[entered][0], (step, pc)
+            assert image.block_of[fast.pc] == entered, (step, pc)
         if out != OUT_OK:
             assert fast.pc == pc, (step, pc)
             break
