@@ -4,7 +4,8 @@ Subcommands: asm, run, fuzz, analyze, harden, oracle, gadgets.
 
 Exit codes: 0 success; 1 usage, configuration, or input problems, or a
 file that cannot be read or written (including an analyze invocation
-that could only read part of its trace files); 2 the program crashed
+that could only read part of its trace files, which then prints what it
+read and writes neither report nor whitelist); 2 the program crashed
 architecturally under run; 3 violations were found and --strict was given.
 
 build_parser is the one place that gives an option its type, choices and
@@ -255,6 +256,8 @@ def _read_branch_counts(path: str) -> dict[str, int]:
 
 
 def _cmd_analyze(args) -> int:
+    if args.whitelist_out and not args.stats:
+        raise CliError("--whitelist-out needs --stats (branch_stats.json)")
     findings: dict = {}
     partial = False
     for path in args.traces:
@@ -266,7 +269,7 @@ def _cmd_analyze(args) -> int:
             continue
         findings = merge(findings, aggregate(records, args.identity))
     lines = render_report(findings, args.min_triggers)
-    if args.out:
+    if args.out and not partial:
         write_lines(args.out, {"file": "report", "min_triggers": args.min_triggers},
                     lines)
     else:
@@ -274,15 +277,17 @@ def _cmd_analyze(args) -> int:
             print(ln)
         if not lines:
             print("no findings")
+    if partial:
+        # A whitelist from part of the evidence could admit a branch whose
+        # violations sit in an unread trace, so no artifact is written.
+        print("error: a trace could not be read; no report or whitelist "
+              "written", file=sys.stderr)
+        return E_USAGE
     if args.whitelist_out:
-        if not args.stats:
-            raise CliError("--whitelist-out needs --stats (branch_stats.json)")
         counts = _read_branch_counts(args.stats)
         wl = build_whitelist(findings, counts, args.whitelist_min)
         write_whitelist(args.whitelist_out, wl, {"min_inputs": args.whitelist_min})
         print(f"whitelisted {len(wl)} branches", file=sys.stderr)
-    if partial:
-        return E_USAGE
     if findings and args.strict:
         return E_VIOLATIONS
     return OK

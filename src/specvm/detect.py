@@ -25,7 +25,7 @@ heap exhausted   fault silently
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .machine import A_REDZONE, F_JTAB, F_RET
 
@@ -111,16 +111,22 @@ def dedup_key(v: ViolationRecord, mode: str = DEFAULT_IDENTITY) -> tuple:
     return (v.offending, v.kind, v.identity(mode))
 
 
-@dataclass
 class SpecContext:
     """Mutable per-run state handed to Machine.step during speculation,
-    and the policy step applies to out-of-bounds accesses and faults."""
+    and the policy step applies to out-of-bounds accesses and faults.
+    One is built per exposed run, so it is a plain slotted class."""
 
-    records: list[ViolationRecord] = field(default_factory=list)
-    branches: list[str] = field(default_factory=list)
-    wlog: list[tuple[int, bytes]] = field(default_factory=list)
-    input_id: str | None = None
-    run_serial: int = 0
+    __slots__ = ("records", "branches", "wlog", "input_id", "run_serial")
+
+    def __init__(self, records: list[ViolationRecord] | None = None,
+                 branches: list[str] | None = None,
+                 wlog: list[tuple[int, bytes]] | None = None,
+                 input_id: str | None = None, run_serial: int = 0):
+        self.records = [] if records is None else records
+        self.branches = [] if branches is None else branches
+        self.wlog = [] if wlog is None else wlog
+        self.input_id = input_id
+        self.run_serial = run_serial
 
     def on_speculative_access(self, offending: str, kind: int, addr: int,
                               referent, offset) -> bool:

@@ -179,15 +179,17 @@ class RunTrace:
     spec_steps: int
     retired: dict[str, int] = field(default_factory=dict)
 
-    def deduped(self, mode: str = DEFAULT_IDENTITY) -> list[ViolationRecord]:
-        seen = set()
-        out = []
+    def keyed(self, mode: str = DEFAULT_IDENTITY) -> dict[tuple, ViolationRecord]:
+        """The first record of each dedup key, by key, in record order."""
+        out = {}
         for r in self.records:
             k = dedup_key(r, mode)
-            if k not in seen:
-                seen.add(k)
-                out.append(r)
+            if k not in out:
+                out[k] = r
         return out
+
+    def deduped(self, mode: str = DEFAULT_IDENTITY) -> list[ViolationRecord]:
+        return list(self.keyed(mode).values())
 
 
 class ExposureEngine:

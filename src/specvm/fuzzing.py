@@ -8,7 +8,12 @@ which is what drives the simulation depth schedule: deeper nesting is
 granted to branches as ever more inputs pile onto them.
 
 Inputs are named by content hash, so the corpus and all reports stay
-stable across runs.  ``workers=N`` runs N independent shards in turn in
+stable across runs.  Only new bytes are hashed: an attempt that repeats
+an input already run costs one set lookup.  ``mutate`` draws from the
+generator's ``getrandbits`` directly; its draws, and so every session,
+equal those of the plain ``randint``/``choice``/``randrange`` version on
+the same ``random.Random``, which tests/refmutate.py keeps as the
+reference.  ``workers=N`` runs N independent shards in turn in
 this process; each runs the seeds and its share of the budget from its
 own random stream.  Merged in shard order (first entry per input id,
 unions, summed counts, run numbers offset), every artifact but the wall
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .artifacts import write_json, write_lines
-from .detect import DEFAULT_IDENTITY, dedup_key
+from .detect import DEFAULT_IDENTITY
 from .engine import BranchStats, ExposureEngine, SpecConfig
 from .isa import Program
 from .machine import ExecImage
@@ -86,31 +91,76 @@ class FuzzResult:
     wall_seconds: float
 
 
+def _below(bits, n: int) -> int:
+    """A uniform draw from range(n), n > 0: what ``random.Random`` makes
+    inside ``randrange(n)``, ``randint(a, a + n - 1)`` and ``choice`` of n
+    items, with the same calls to ``bits`` (its ``getrandbits``)."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def mutate(data: bytes, rng: random.Random, corpus: list[bytes],
            max_len: int) -> bytes:
-    """Apply a havoc stack of 1 to 8 elementary mutations."""
+    """Apply a havoc stack of 1 to 8 elementary mutations.
+
+    The draws, and so the output and ``rng``'s state afterwards, are those
+    of the plain version on the same ``random.Random``: ``randint(1, 8)``
+    mutations, each a ``choice(MUTATORS)`` and then
+
+    - bitflip (buffer not empty): index ``randrange(len)``, bit ``randrange(8)``
+    - byteset: value ``randrange(256)``, then index ``randrange(len)``, or
+      an append to an empty buffer
+    - insert (below max_len): position ``randint(0, len)``, value ``randrange(256)``
+    - delete (buffer not empty): index ``randrange(len)``
+    - splice (corpus not empty): ``choice(corpus)``; if that entry is not
+      empty, cuts ``randint(0, len)`` here and ``randrange(len(entry))`` there
+
+    Each of those calls comes down to ``_below`` on ``rng.getrandbits``,
+    which is what runs here.  tests/refmutate.py holds the plain version and
+    tests/test_fuzzing.py checks output and state against it after every call.
+    """
+    bits = rng.getrandbits
     buf = bytearray(data)
-    for _ in range(rng.randint(1, 8)):
-        op = rng.choice(MUTATORS)
-        if op == "bitflip" and buf:
-            i = rng.randrange(len(buf))
-            buf[i] ^= 1 << rng.randrange(8)
-        elif op == "byteset":
+    count = bits(4)
+    while count >= 8:
+        count = bits(4)
+    for _ in range(count + 1):
+        op = bits(3)
+        while op >= 5:
+            op = bits(3)
+        if op == 0:  # bitflip
             if buf:
-                buf[rng.randrange(len(buf))] = rng.randrange(256)
+                i = _below(bits, len(buf))
+                bit = bits(4)
+                while bit >= 8:
+                    bit = bits(4)
+                buf[i] ^= 1 << bit
+        elif op == 1:  # byteset: the value is drawn before the index
+            value = bits(9)
+            while value >= 256:
+                value = bits(9)
+            if buf:
+                buf[_below(bits, len(buf))] = value
             else:
-                buf.append(rng.randrange(256))
-        elif op == "insert":
+                buf.append(value)
+        elif op == 2:  # insert
             if len(buf) < max_len:
-                buf.insert(rng.randint(0, len(buf)), rng.randrange(256))
-        elif op == "delete" and buf:
-            del buf[rng.randrange(len(buf))]
-        elif op == "splice" and corpus:
-            other = rng.choice(corpus)
+                at = _below(bits, len(buf) + 1)
+                value = bits(9)
+                while value >= 256:
+                    value = bits(9)
+                buf.insert(at, value)
+        elif op == 3:  # delete
+            if buf:
+                del buf[_below(bits, len(buf))]
+        elif corpus:  # splice
+            other = corpus[_below(bits, len(corpus))]
             if other:
-                cut_a = rng.randint(0, len(buf))
-                cut_b = rng.randrange(len(other))
-                buf = bytearray(buf[:cut_a]) + bytearray(other[cut_b:])
+                cut_a = _below(bits, len(buf) + 1)
+                buf[cut_a:] = other[_below(bits, len(other)):]
                 del buf[max_len:]
     return bytes(buf)
 
@@ -133,29 +183,30 @@ class Fuzzer:
         self.corpus_bytes: list[bytes] = []  # corpus data in corpus order, for mutate
         self.crashes: list[tuple[str, bytes]] = []
         self.records: list = []
+        self.executed: set[bytes] = set()  # every attempted input, by bytes
         self.executed_ids: set[str] = set()
         self.runs = 0
         self.attempts = 0
 
     def _execute(self, engine: ExposureEngine, data: bytes, reason_hint: str) -> None:
-        """Run one distinct input and merge what it found."""
+        """Run one distinct input and merge what it found.  A repeated input
+        costs one set lookup: only new bytes are hashed into an id."""
         self.attempts += 1
+        if data in self.executed:
+            return
+        self.executed.add(data)
         iid = input_id(data)
         if iid in self.executed_ids:
             return
         self.executed_ids.add(iid)
         trace = engine.run(data, self.stats, input_id=iid, run_serial=self.runs)
         self.runs += 1
-        run_records = trace.deduped(self.cfg.identity)
-        new_edge = bool(trace.edges - self.coverage)
+        keyed = trace.keyed(self.cfg.identity)
+        new_edge = not trace.edges <= self.coverage
         self.coverage |= trace.edges
-        new_key = False
-        for rec in run_records:
-            k = dedup_key(rec, self.cfg.identity)
-            if k not in self.keys:
-                self.keys.add(k)
-                new_key = True
-        self.records.extend(run_records)
+        new_key = not keyed.keys() <= self.keys
+        self.keys.update(keyed)
+        self.records.extend(keyed.values())
         if trace.result.fault is not None:
             self.crashes.append((iid, data))
         if reason_hint == KEEP_SEED:
@@ -175,10 +226,13 @@ class Fuzzer:
         for s in self.seeds:
             self._execute(engine, s, KEEP_SEED)
         rng = random.Random(self.cfg.seed * 1_000_003 + self.shard)
+        bits = rng.getrandbits
+        corpus = self.corpus_bytes
+        max_len = self.cfg.max_len
         for _ in range(self.cfg.runs):
-            parent = rng.choice(self.corpus)[1] if self.corpus else b""
-            data = mutate(parent, rng, self.corpus_bytes, self.cfg.max_len)
-            self._execute(engine, data, "")
+            # rng.choice(corpus), drawn as mutate draws (see its docstring)
+            parent = corpus[_below(bits, len(corpus))] if corpus else b""
+            self._execute(engine, mutate(parent, rng, corpus, max_len), "")
         return FuzzResult(
             attempts=self.attempts,
             runs=self.runs,

@@ -318,6 +318,19 @@ def test_analyze_partial_input_exits_1(session_dir, capsys):
     assert "cannot read" in captured.err
 
 
+def test_analyze_unreadable_trace_writes_no_whitelist(tmp_path, capsys):
+    stats = tmp_path / "s.json"
+    stats.write_text('{"counts": {"main:e:3": 500}}\n')
+    wl, report = tmp_path / "wl.txt", tmp_path / "report.txt"
+    argv = ["analyze", "/no/such/a.jsonl", "--stats", str(stats),
+            "--whitelist-out", str(wl)]
+    assert main(argv) == 1
+    assert not wl.exists()
+    assert main(argv + ["--out", str(report)]) == 1
+    assert not wl.exists() and not report.exists()
+    assert "no report or whitelist written" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line, diagnostic", [
     ('{"kind": "data-oob", "addr": "0x10"}', "line 2: record lacks field 'offending'"),
     ('{"kind": "data-oob", "offending": "main:e:0", "addr": "zz"}',

@@ -1,5 +1,6 @@
 """Coverage-guided fuzzing: mutation, dedup, artifacts, determinism."""
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -8,6 +9,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from refmutate import reference_mutate
 from specvm.artifacts import read_json, read_lines
 from specvm.engine import ExposureEngine, SpecConfig
 from specvm.fuzzing import (
@@ -15,6 +17,7 @@ from specvm.fuzzing import (
     KEEP_EDGE,
     KEEP_SEED,
     KEEP_VULN,
+    MUTATORS,
     FuzzConfig,
     Fuzzer,
     fuzz_loop,
@@ -22,7 +25,7 @@ from specvm.fuzzing import (
     mutate,
     write_artifacts,
 )
-from specvm.gadgets import builtin_gadget
+from specvm.gadgets import builtin_gadget, gadget_ids
 from specvm.isa import parse_program
 
 CRASHY = """\
@@ -71,6 +74,58 @@ def test_mutate_is_deterministic_given_rng():
     a = mutate(b"hello", random.Random(9), [b"x"], 64)
     b = mutate(b"hello", random.Random(9), [b"x"], 64)
     assert a == b
+
+
+class RecordingRandom(random.Random):
+    """A Random that notes every mutator it picks.  Overriding choice alone
+    keeps the getrandbits-based _randbelow, so its draws are the plain ones."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.picked = set()
+
+    def choice(self, seq):
+        picked = super().choice(seq)
+        if seq is MUTATORS:
+            self.picked.add(picked)
+        return picked
+
+
+def assert_mutate_matches_reference(seed, data, corpus, max_len, calls):
+    """Chain ``calls`` mutations from ``data``, each fed the last output, on
+    twin generators; outputs and generator states must agree after each."""
+    rng, ref_rng = random.Random(seed), RecordingRandom(seed)
+    for call in range(calls):
+        out = mutate(data, rng, corpus, max_len)
+        want = reference_mutate(data, ref_rng, corpus, max_len)
+        assert out == want, (seed, call, data)
+        assert rng.getstate() == ref_rng.getstate(), (seed, call, data)
+        data = out
+    return ref_rng.picked
+
+
+@pytest.mark.parametrize("data, corpus, max_len", [
+    (b"", [], 64),
+    (b"", [b""], 1),
+    (b"\x07", [b"", b"\x01\x02\x03"], 1),
+    (b"abc", [b"wxyz" * 5], 3),
+    (b"hello", [b"x", b""], 8),
+    (bytes(range(64)), [b"", bytes(100), b"\xff"], 64),
+], ids=["empty", "len1-empty-entry", "len1-at-max", "len3-at-max", "len8",
+        "len64-at-max"])
+def test_mutate_draws_as_the_reference(data, corpus, max_len):
+    picked = set()
+    for seed in range(150):
+        picked |= assert_mutate_matches_reference(seed, data, corpus, max_len, 6)
+    assert picked == set(MUTATORS)
+
+
+@given(st.binary(max_size=80), st.lists(st.binary(max_size=80), max_size=4),
+       st.integers(min_value=1, max_value=70),
+       st.integers(min_value=0, max_value=2 ** 64))
+@settings(max_examples=150)
+def test_mutate_matches_the_reference_on_any_input(data, corpus, max_len, seed):
+    assert_mutate_matches_reference(seed, data, corpus, max_len, 4)
 
 
 def test_duplicate_content_is_executed_once():
@@ -240,3 +295,28 @@ def test_single_worker_session_runs_the_prefix_once(workers, engines, monkeypatc
     monkeypatch.setattr(ExposureEngine, "__init__", counting_init)
     fuzz_loop(builtin_gadget(1).program, small_cfg(runs=30, workers=workers))
     assert len(built) == engines
+
+
+# sha256 over the artifact trees of the sessions below.  A change that only
+# makes the fuzzer faster leaves it as it is; a declared change to what the
+# fuzzer draws, runs or keeps updates it and says so in CHANGES.md.
+GOLDEN_ARTIFACTS = \
+    "642e6e7c955c0e290922b6a085d41e1f54d74f7f440c1acf91f30039352e0127"
+
+
+def test_artifact_trees_match_the_golden_digest(tmp_path):
+    """Every artifact but the wall-time-bearing session.json of a 300-run,
+    seed-7 session at max_order 2 on each gadget, with 1 and 2 workers."""
+    digest = hashlib.sha256()
+    for gid in gadget_ids():
+        for workers in (1, 2):
+            out = tmp_path / f"g{gid:02d}w{workers}"
+            fuzz_loop(builtin_gadget(gid).program,
+                      FuzzConfig(runs=300, seed=7, workers=workers,
+                                 spec=SpecConfig(max_order=2)), out_dir=out)
+            for path in sorted(out.rglob("*")):
+                if path.is_file() and path.name != "session.json":
+                    body = path.read_bytes()
+                    digest.update(f"{path.relative_to(tmp_path).as_posix()}\0"
+                                  f"{len(body)}\0".encode() + body)
+    assert digest.hexdigest() == GOLDEN_ARTIFACTS
