@@ -196,7 +196,7 @@ def _cmd_run(args) -> int:
     # No branch statistics: every branch runs at the full max_order.
     trace = run_with_exposure(program, data, spec)
     res = trace.result
-    records = trace.deduped(args.identity)
+    records = list(trace.deduped(args.identity).values())
     state = "halted" if res.halted else (
         f"fault: {res.fault.kind}" if res.fault else "stopped")
     summary = (f"{state} after {res.steps} steps "
@@ -280,8 +280,11 @@ def _cmd_analyze(args) -> int:
     if partial:
         # A whitelist from part of the evidence could admit a branch whose
         # violations sit in an unread trace, so no artifact is written.
-        print("error: a trace could not be read; no report or whitelist "
-              "written", file=sys.stderr)
+        unwritten = [p for p in (args.out, args.whitelist_out) if p]
+        if unwritten:
+            print(f"error: a trace could not be read; not written: "
+                  f"{', '.join(unwritten)} (a file already there is left "
+                  f"as it was)", file=sys.stderr)
         return E_USAGE
     if args.whitelist_out:
         counts = _read_branch_counts(args.stats)

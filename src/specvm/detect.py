@@ -118,13 +118,10 @@ class SpecContext:
 
     __slots__ = ("records", "branches", "wlog", "input_id", "run_serial")
 
-    def __init__(self, records: list[ViolationRecord] | None = None,
-                 branches: list[str] | None = None,
-                 wlog: list[tuple[int, bytes]] | None = None,
-                 input_id: str | None = None, run_serial: int = 0):
-        self.records = [] if records is None else records
-        self.branches = [] if branches is None else branches
-        self.wlog = [] if wlog is None else wlog
+    def __init__(self, input_id: str | None = None, run_serial: int = 0):
+        self.records: list[ViolationRecord] = []
+        self.branches: list[str] = []
+        self.wlog: list[tuple[int, bytes]] = []
         self.input_id = input_id
         self.run_serial = run_serial
 

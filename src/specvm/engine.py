@@ -179,7 +179,7 @@ class RunTrace:
     spec_steps: int
     retired: dict[str, int] = field(default_factory=dict)
 
-    def keyed(self, mode: str = DEFAULT_IDENTITY) -> dict[tuple, ViolationRecord]:
+    def deduped(self, mode: str = DEFAULT_IDENTITY) -> dict[tuple, ViolationRecord]:
         """The first record of each dedup key, by key, in record order."""
         out = {}
         for r in self.records:
@@ -187,9 +187,6 @@ class RunTrace:
             if k not in out:
                 out[k] = r
         return out
-
-    def deduped(self, mode: str = DEFAULT_IDENTITY) -> list[ViolationRecord]:
-        return list(self.keyed(mode).values())
 
 
 class ExposureEngine:

@@ -124,24 +124,14 @@ def mutate(data: bytes, rng: random.Random, corpus: list[bytes],
     """
     bits = rng.getrandbits
     buf = bytearray(data)
-    count = bits(4)
-    while count >= 8:
-        count = bits(4)
-    for _ in range(count + 1):
-        op = bits(3)
-        while op >= 5:
-            op = bits(3)
+    for _ in range(_below(bits, 8) + 1):
+        op = _below(bits, 5)
         if op == 0:  # bitflip
             if buf:
                 i = _below(bits, len(buf))
-                bit = bits(4)
-                while bit >= 8:
-                    bit = bits(4)
-                buf[i] ^= 1 << bit
+                buf[i] ^= 1 << _below(bits, 8)
         elif op == 1:  # byteset: the value is drawn before the index
-            value = bits(9)
-            while value >= 256:
-                value = bits(9)
+            value = _below(bits, 256)
             if buf:
                 buf[_below(bits, len(buf))] = value
             else:
@@ -149,10 +139,7 @@ def mutate(data: bytes, rng: random.Random, corpus: list[bytes],
         elif op == 2:  # insert
             if len(buf) < max_len:
                 at = _below(bits, len(buf) + 1)
-                value = bits(9)
-                while value >= 256:
-                    value = bits(9)
-                buf.insert(at, value)
+                buf.insert(at, _below(bits, 256))
         elif op == 3:  # delete
             if buf:
                 del buf[_below(bits, len(buf))]
@@ -184,7 +171,6 @@ class Fuzzer:
         self.crashes: list[tuple[str, bytes]] = []
         self.records: list = []
         self.executed: set[bytes] = set()  # every attempted input, by bytes
-        self.executed_ids: set[str] = set()
         self.runs = 0
         self.attempts = 0
 
@@ -196,17 +182,14 @@ class Fuzzer:
             return
         self.executed.add(data)
         iid = input_id(data)
-        if iid in self.executed_ids:
-            return
-        self.executed_ids.add(iid)
         trace = engine.run(data, self.stats, input_id=iid, run_serial=self.runs)
         self.runs += 1
-        keyed = trace.keyed(self.cfg.identity)
+        by_key = trace.deduped(self.cfg.identity)
         new_edge = not trace.edges <= self.coverage
         self.coverage |= trace.edges
-        new_key = not keyed.keys() <= self.keys
-        self.keys.update(keyed)
-        self.records.extend(keyed.values())
+        new_key = not by_key.keys() <= self.keys
+        self.keys.update(by_key)
+        self.records.extend(by_key.values())
         if trace.result.fault is not None:
             self.crashes.append((iid, data))
         if reason_hint == KEEP_SEED:

@@ -326,9 +326,17 @@ def test_analyze_unreadable_trace_writes_no_whitelist(tmp_path, capsys):
             "--whitelist-out", str(wl)]
     assert main(argv) == 1
     assert not wl.exists()
+    assert "not written: " + str(wl) in capsys.readouterr().err
     assert main(argv + ["--out", str(report)]) == 1
     assert not wl.exists() and not report.exists()
-    assert "no report or whitelist written" in capsys.readouterr().err
+    # A file left at an output path by an earlier run stays as it was.
+    wl.write_text("old\n")
+    assert main(argv) == 1
+    assert wl.read_text() == "old\n"
+    assert "left as it was" in capsys.readouterr().err
+    # Without an output path there is nothing to say was not written.
+    assert main(["analyze", "/no/such/a.jsonl"]) == 1
+    assert "not written" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, diagnostic", [
