@@ -14,8 +14,9 @@ Classification answers "how much does an attacker steer this":
 
 A branch may be whitelisted as benign when enough distinct inputs
 exercised it to trust the evidence and it never appeared in the branch
-chain of any finding.  Aggregation is associative, so traces from many
-shards can be merged pairwise in any grouping.
+chain of any finding.  Findings from several traces come from one fold
+over all their records, read in order, so a finding keeps the position
+of its first record.
 """
 
 from __future__ import annotations
@@ -77,28 +78,6 @@ def aggregate(records, identity: str = DEFAULT_IDENTITY) -> dict[tuple[str, str]
         f.branch_chains.add(r.branches)
         f.min_order = r.order if f.min_order is None else min(f.min_order, r.order)
         f.occurrences += 1
-    return out
-
-
-def merge(a: dict[tuple[str, str], Finding],
-          b: dict[tuple[str, str], Finding]) -> dict[tuple[str, str], Finding]:
-    """Combine two aggregations; associative and commutative."""
-    out: dict[tuple[str, str], Finding] = {}
-    for src in (a, b):
-        for key, f in src.items():
-            g = out.get(key)
-            if g is None:
-                out[key] = Finding(f.offending, f.kind, set(f.inputs),
-                                   set(f.identities), set(f.branch_chains),
-                                   f.min_order, f.occurrences)
-                continue
-            g.inputs |= f.inputs
-            g.identities |= f.identities
-            g.branch_chains |= f.branch_chains
-            if f.min_order is not None:
-                g.min_order = (f.min_order if g.min_order is None
-                               else min(g.min_order, f.min_order))
-            g.occurrences += f.occurrences
     return out
 
 
@@ -168,6 +147,6 @@ def read_whitelist(path: str | Path) -> set[str]:
 __all__ = [
     "CLASS_CODE", "CLASS_CONTROLLED", "CLASS_UNCONTROLLED", "CLASS_UNKNOWN",
     "SEVERITY", "DEFAULT_MIN_TRIGGERS", "DEFAULT_WHITELIST_MIN_INPUTS",
-    "Finding", "aggregate", "merge", "build_whitelist", "load_trace",
+    "Finding", "aggregate", "build_whitelist", "load_trace",
     "render_report", "write_whitelist", "read_whitelist",
 ]

@@ -1,9 +1,9 @@
 """Self-describing artifact files.
 
-Every text artifact the toolchain writes starts with a one-line header
-carrying JSON metadata: line-oriented files (traces, whitelists, reports)
-start with "#%svm {...}", assembly files use an assembler comment
-"; svm {...}" so they stay parseable, and JSON documents carry the same
+Every artifact the toolchain writes but ``svm asm``'s canonical assembly
+carries JSON metadata: line-oriented files (traces, whitelists, reports)
+start with a "#%svm {...}" line, hardened assembly with an assembler
+comment "; svm {...}" so it stays parseable, and JSON documents carry the
 metadata under a "_meta" key.  Readers tolerate missing headers.
 """
 

@@ -31,12 +31,11 @@ from .analyze import (
     aggregate,
     build_whitelist,
     load_trace,
-    merge,
     read_whitelist,
     render_report,
     write_whitelist,
 )
-from .artifacts import read_json, sasm_with_header, write_lines
+from .artifacts import read_json, sasm_with_header, write_json, write_lines
 from .detect import DEFAULT_IDENTITY, IDENTITY_MODES
 from .engine import SpecConfig, run_with_exposure
 from .fuzzing import FuzzConfig, fuzz_loop
@@ -155,15 +154,19 @@ def _input_bytes(args) -> bytes:
     return b""
 
 
+def _write_output(path: str | None, text: str) -> None:
+    """Write text to the -o file, or to stdout without one."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 # -- subcommands ------------------------------------------------------------
 
 def _cmd_asm(args) -> int:
     program = _load_program(args.file)
-    text = emit_text(program)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, emit_text(program))
     if args.print_layout:
         image = ExecImage(program)
         print(f"scratch  [0x{SCRATCH_BASE:x}, 0x{SCRATCH_BASE + SCRATCH_SIZE:x})")
@@ -258,16 +261,15 @@ def _read_branch_counts(path: str) -> dict[str, int]:
 def _cmd_analyze(args) -> int:
     if args.whitelist_out and not args.stats:
         raise CliError("--whitelist-out needs --stats (branch_stats.json)")
-    findings: dict = {}
+    records = []
     partial = False
     for path in args.traces:
         try:
-            _, records = load_trace(path)
+            records += load_trace(path)[1]
         except (OSError, ValueError) as e:
             print(f"warning: cannot read trace {path}: {e}", file=sys.stderr)
             partial = True
-            continue
-        findings = merge(findings, aggregate(records, args.identity))
+    findings = aggregate(records, args.identity)
     lines = render_report(findings, args.min_triggers)
     if args.out and not partial:
         write_lines(args.out, {"file": "report", "min_triggers": args.min_triggers},
@@ -309,15 +311,9 @@ def _cmd_harden(args) -> int:
     except HardenError as e:
         raise CliError(str(e))
     meta = {"file": "sasm", "hardening": args.mode, "summary": result.summary}
-    text = sasm_with_header(meta, emit_text(result.program))
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, sasm_with_header(meta, emit_text(result.program)))
     if args.map:
-        Path(args.map).write_text(
-            json.dumps({"_meta": {"file": "branch-map"}, "map": result.branch_map},
-                       indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(args.map, {"file": "branch-map"}, {"map": result.branch_map})
     print(json.dumps(result.summary, sort_keys=True), file=sys.stderr)
     return OK
 
@@ -347,10 +343,7 @@ def _cmd_gadgets(args) -> int:
             g = builtin_gadget(args.emit)
         except GadgetError as e:
             raise CliError(str(e))
-        if args.output:
-            Path(args.output).write_text(g.source, encoding="utf-8")
-        else:
-            sys.stdout.write(g.source)
+        _write_output(args.output, g.source)
         return OK
     if args.dir:
         out = Path(args.dir)

@@ -81,20 +81,22 @@ class ViolationRecord:
     @staticmethod
     def from_wire(d: dict) -> "ViolationRecord":
         """Rebuild a record from to_wire() output.  Raises ValueError when a
-        required field is missing or malformed."""
+        required field is missing or malformed, or a field has the wrong
+        type."""
         if not isinstance(d, dict):
             raise ValueError(f"record is not a JSON object: {d!r}")
         try:
             ref = d.get("referent")
             referent = (ref["ord"], ref["base"], ref["size"]) if ref else None
-            return ViolationRecord(
+            branches = d.get("branches", [])
+            rec = ViolationRecord(
                 kind=d["kind"],
                 offending=d["offending"],
                 addr=int(d["addr"], 16),
                 referent=referent,
                 offset=d.get("offset"),
-                branches=tuple(d.get("branches", ())),
-                order=d.get("order", len(d.get("branches", ()))),
+                branches=tuple(branches),
+                order=d.get("order", len(branches)),
                 input_id=d.get("input"),
                 run=d.get("run", 0),
                 detail=d.get("detail", ""),
@@ -103,6 +105,28 @@ class ViolationRecord:
             raise ValueError(f"record lacks field {e}") from None
         except (TypeError, ValueError) as e:
             raise ValueError(f"malformed record field: {e}") from None
+        # Plain type tests: every record of a trace passes through here.
+        if type(rec.kind) is not str:
+            bad = "kind"
+        elif type(rec.offending) is not str:
+            bad = "offending"
+        elif referent is not None and not all(type(v) is int for v in referent):
+            bad = "referent"
+        elif rec.offset is not None and type(rec.offset) is not int:
+            bad = "offset"
+        elif type(branches) is not list or not all(type(b) is str for b in branches):
+            bad = "branches"
+        elif type(rec.order) is not int:
+            bad = "order"
+        elif rec.input_id is not None and type(rec.input_id) is not str:
+            bad = "input"
+        elif type(rec.run) is not int:
+            bad = "run"
+        elif type(rec.detail) is not str:
+            bad = "detail"
+        else:
+            return rec
+        raise ValueError(f"malformed record field: {bad} has the wrong type")
 
 
 def dedup_key(v: ViolationRecord, mode: str = DEFAULT_IDENTITY) -> tuple:

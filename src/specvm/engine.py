@@ -149,22 +149,17 @@ class BranchStats:
     def count(self, branch: str) -> int:
         return self._counts.get(branch, 0)
 
-    def preseed(self, branch: str, n: int) -> None:
-        self._counts[branch] = n
-
     def to_dict(self) -> dict[str, int]:
         return dict(self._counts)
 
 
 def full_order_stats(program: Program, config: SpecConfig | None = None) -> BranchStats:
-    """Stats preseeded so the next input pushes every branch to the maximum
-    nesting order.  Used when one run should simulate as deep as allowed."""
+    """Stats with counts set so the next input pushes every branch to the
+    maximum nesting order.  Used when one run should simulate as deep as
+    allowed."""
     cfg = config or SpecConfig()
     n = cfg.order_base ** (cfg.max_order - 1) - 1
-    stats = BranchStats()
-    for iid in program.branch_ids():
-        stats.preseed(str(iid), n)
-    return stats
+    return BranchStats({str(iid): n for iid in program.branch_ids()})
 
 
 @dataclass
@@ -241,10 +236,10 @@ class ExposureEngine:
         if len(wlog) != n_log:
             if len(wlog) < n_log:
                 raise EngineError("internal-log-underflow")
-            undo = m.undo_write
+            write = m.write_bytes
             while len(wlog) > n_log:
                 addr, old = wlog.pop()
-                undo(addr, old)
+                write(addr, old)
         # The saved copy becomes the registers: the path's list is dropped.
         m.regs = regs
         m.fa = fa

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .artifacts import write_json, write_lines
-from .detect import DEFAULT_IDENTITY
+from .detect import DEFAULT_IDENTITY, IDENTITY_MODES
 from .engine import BranchStats, ExposureEngine, SpecConfig
 from .isa import Program
 from .machine import ExecImage
@@ -76,6 +76,8 @@ class FuzzConfig:
             raise ValueError("workers must be at least 1")
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
+        if self.identity not in IDENTITY_MODES:
+            raise ValueError(f"unknown identity mode {self.identity!r}")
 
 
 @dataclass

@@ -29,7 +29,8 @@ from original branch ids to their ids in the hardened program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 # verify_hardening calls engine.run_with_exposure and
 # machine.run_architectural through their modules, so that wrappers
@@ -78,22 +79,18 @@ def _reserved_register_used(program: Program) -> str | None:
     return None
 
 
-def _fn_in_edges(blocks: list[BasicBlock]) -> dict[str, list[tuple]]:
-    """target label -> list of incoming edges.  Edges from a BR are tagged
-    with (iid-like tuple, polarity); jmp and jtab edges are anonymous."""
-    incoming: dict[str, list[tuple]] = {b.label: [] for b in blocks}
+def _in_degree(blocks: list[BasicBlock]) -> Counter:
+    """label -> number of BR, JMP and JTAB edges that enter it."""
+    degree: Counter = Counter()
     for b in blocks:
         term = b.instrs[-1]
-        src = (b.label, len(b.instrs) - 1)
         if term.op is Op.BR:
-            incoming[term.ops[1].name].append((src, "taken"))
-            incoming[term.ops[2].name].append((src, "fall"))
+            degree.update((term.ops[1].name, term.ops[2].name))
         elif term.op is Op.JMP:
-            incoming[term.ops[0].name].append((src, "jmp"))
+            degree[term.ops[0].name] += 1
         elif term.op is Op.JTAB:
-            for lab in term.ops[1:]:
-                incoming[lab.name].append((src, "jtab"))
-    return incoming
+            degree.update(lab.name for lab in term.ops[1:])
+    return degree
 
 
 def _edge_payload(mode: str, cc: str) -> list[Instruction]:
@@ -148,7 +145,7 @@ def _instrument(program: Program, whitelist: set[str], mode: str) -> HardenResul
 
     for fn, blocks in program.functions.items():
         entry_label = blocks[0].label
-        incoming = _fn_in_edges(blocks)
+        in_degree = _in_degree(blocks)
         labels_used = {b.label for b in blocks}
 
         # Plan: which blocks receive a prepend, which edges go through
@@ -174,8 +171,9 @@ def _instrument(program: Program, whitelist: set[str], mode: str) -> HardenResul
                 (False, term.ops[2].name, INVERSE_CC[cc]),
             ):
                 payload = _edge_payload(mode, edge_cc)
-                sole = (incoming[target] == [((b.label, idx), "taken" if taken else "fall")])
-                if sole and target != entry_label:
+                # This edge enters target, so it is the only one iff
+                # target's in-degree is 1.
+                if in_degree[target] == 1 and target != entry_label:
                     prepends[target] = payload
                     summary["edges_in_place"] += 1
                 else:

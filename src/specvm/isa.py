@@ -15,7 +15,9 @@ Text format (one instruction per line, ``;`` starts a comment)::
 
 Registers are ``r0`` .. ``r15``.  Immediates are decimal or 0x-hex and may
 be negative (stored two's-complement in 64 bits).  Condition codes are the
-unsigned comparisons ``eq ne lt le gt ge``.
+unsigned comparisons ``eq ne lt le gt ge``.  A data string is bytes: a
+character stands for the byte of its code point, so one above U+00FF is
+an error and its bytes are written as ``\\xNN`` escapes.
 """
 
 from __future__ import annotations
@@ -97,6 +99,20 @@ _SHAPES = {
 }
 
 _OP_BY_NAME = {op.name.lower(): op for op in Op}
+
+
+def _operand_kinds(op: Op, n: int) -> tuple[str, str | None]:
+    """The kinds of op's operands when it has n of them, and None; or ""
+    and the problem when op does not take n operands."""
+    shape = _SHAPES[op]
+    if shape.endswith("L"):
+        fixed = shape[:-1]
+        if n > len(fixed):
+            return fixed + "l" * (n - len(fixed)), None
+        return "", f"{op.name.lower()} needs at least {len(fixed) + 1} operands"
+    if n != len(shape):
+        return "", f"{op.name.lower()} expects {len(shape)} operand(s), got {n}"
+    return shape, None
 
 
 @dataclass(frozen=True)
@@ -231,6 +247,12 @@ class ValidationReport:
         return "\n".join(f"{iid if iid else '<program>'}: {msg}" for iid, msg in self.problems)
 
 
+# The problems validate finds in a block that lost its last line, which
+# parse_program leaves to that line's own diagnostic.
+_EMPTY_BLOCK = "empty block"
+_NO_TERMINATOR = "missing terminator at block end"
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -268,6 +290,10 @@ def _parse_data_literal(text: str, lineno: int, diags: list[Diagnostic]) -> byte
         diags.append(Diagnostic(lineno, "data directive expects a quoted string"))
         return b""
     body = text[1:-1]
+    wide = next((ch for ch in body if ord(ch) > 0xFF), None)
+    if wide is not None:
+        diags.append(Diagnostic(lineno, f"character {wide!r} in data string is not "
+                                        "a byte; write its bytes as \\xNN"))
     out = bytearray()
     i = 0
     while i < len(body):
@@ -358,6 +384,7 @@ def parse_program(text: str) -> Program:
     cur_block: BasicBlock | None = None
     iid_lines: dict[InstructionId, int] = {}
     block_lines: dict[tuple[str, str], int] = {}
+    lost_tail: set[tuple[str, str]] = set()  # blocks whose last line was dropped
 
     def close_block():
         nonlocal cur_block
@@ -410,31 +437,18 @@ def parse_program(text: str) -> Program:
         op = _OP_BY_NAME.get(opname)
         if op is None:
             diags.append(Diagnostic(lineno, f"unknown opcode '{parts[0]}'"))
+            lost_tail.add((cur_fn, cur_block.label))
             continue
-        shape = _SHAPES[op]
         rest = parts[1] if len(parts) > 1 else ""
         toks = [t.strip() for t in rest.split(",")] if rest.strip() else []
-        operands: list = []
-        if shape.endswith("L"):
-            fixed = shape[:-1]
-            if len(toks) < len(fixed) + 1:
-                diags.append(Diagnostic(lineno, f"{opname} needs at least {len(fixed) + 1} operands"))
-                continue
-            for kind, tok in zip(fixed, toks):
-                operands.append(_parse_operand(kind, tok, lineno, diags))
-            for tok in toks[len(fixed):]:
-                operands.append(_parse_operand("l", tok, lineno, diags))
+        kinds, problem = _operand_kinds(op, len(toks))
+        if problem is None:
+            ops = tuple(_parse_operand(k, tok, lineno, diags) for k, tok in zip(kinds, toks))
         else:
-            if len(toks) != len(shape):
-                diags.append(
-                    Diagnostic(lineno, f"{opname} expects {len(shape)} operand(s), got {len(toks)}")
-                )
-                continue
-            for kind, tok in zip(shape, toks):
-                operands.append(_parse_operand(kind, tok, lineno, diags))
-        ins = Instruction(op, tuple(operands))
+            ops = tuple(toks)  # kept in its block; validate reports the count
         iid_lines[InstructionId(cur_fn, cur_block.label, len(cur_block.instrs))] = lineno
-        cur_block.instrs.append(ins)
+        cur_block.instrs.append(Instruction(op, ops))
+        lost_tail.discard((cur_fn, cur_block.label))
 
     prog.data = bytes(data)
     if not prog.functions:
@@ -443,6 +457,9 @@ def parse_program(text: str) -> Program:
 
     report = validate(prog)
     for iid, msg in report.problems:
+        if (msg in (_EMPTY_BLOCK, _NO_TERMINATOR) and iid is not None
+                and (iid.fn, iid.block) in lost_tail):
+            continue
         if iid is not None and iid in iid_lines:
             diags.append(Diagnostic(iid_lines[iid], msg))
         elif iid is not None and (iid.fn, iid.block) in block_lines:
@@ -503,20 +520,8 @@ def emit_text(p: Program) -> str:
 # Validation
 
 
-def _check_operands(iid: InstructionId, ins: Instruction, labels: set[str],
-                    functions: dict, problems: list) -> None:
-    shape = _SHAPES[ins.op]
-    if shape.endswith("L"):
-        fixed = shape[:-1]
-        if len(ins.ops) < len(fixed) + 1:
-            problems.append((iid, f"{ins.op.name} needs at least {len(fixed) + 1} operands"))
-            return
-        kinds = fixed + "l" * (len(ins.ops) - len(fixed))
-    else:
-        if len(ins.ops) != len(shape):
-            problems.append((iid, f"{ins.op.name} expects {len(shape)} operand(s)"))
-            return
-        kinds = shape
+def _check_operands(iid: InstructionId, ins: Instruction, kinds: str,
+                    labels: set[str], functions: dict, problems: list) -> None:
     for kind, opnd in zip(kinds, ins.ops):
         if kind == "r" and not (isinstance(opnd, Reg) and 0 <= opnd.n < REG_COUNT):
             problems.append((iid, f"operand {opnd} is not a valid register"))
@@ -558,16 +563,20 @@ def validate(p: Program) -> ValidationReport:
         labels = {b.label for b in blocks}
         for block in blocks:
             if not block.instrs:
-                problems.append((InstructionId(fn, block.label, 0), "empty block"))
+                problems.append((InstructionId(fn, block.label, 0), _EMPTY_BLOCK))
                 continue
             for idx, ins in enumerate(block.instrs):
                 iid = InstructionId(fn, block.label, idx)
+                kinds, problem = _operand_kinds(ins.op, len(ins.ops))
+                if problem is not None:  # the one problem of this instruction
+                    problems.append((iid, problem))
+                    continue
                 last = idx == len(block.instrs) - 1
                 if ins.op in TERMINATORS and not last:
                     problems.append((iid, "control transfer before block end"))
                 if last and ins.op not in TERMINATORS:
-                    problems.append((iid, "missing terminator at block end"))
-                _check_operands(iid, ins, labels, p.functions, problems)
+                    problems.append((iid, _NO_TERMINATOR))
+                _check_operands(iid, ins, kinds, labels, p.functions, problems)
     return ValidationReport(problems)
 
 

@@ -69,13 +69,11 @@ from dataclasses import dataclass, field
 from .isa import (
     CONDITIONS,
     WORD_MASK,
-    FnRef,
     Imm,
     InstructionId,
     Lab,
     Op,
     Program,
-    Reg,
 )
 
 # Access classes
@@ -700,7 +698,7 @@ class Machine:
         self.pages: dict[int, bytearray] = {}
         self.alloc = AllocationTable()
         if image.program.data:
-            self._blit(STATIC_BASE, image.program.data)
+            self.write_bytes(STATIC_BASE, image.program.data)
 
     def fork(self, input_bytes: bytes) -> "Machine":
         """A machine in this one's state that reads input_bytes, with
@@ -723,7 +721,18 @@ class Machine:
 
     # -- raw memory -------------------------------------------------------
 
-    def _blit(self, addr: int, data: bytes) -> None:
+    def read_bytes(self, addr: int, n: int) -> bytes:
+        """n bytes from addr; a page never written reads as zeros."""
+        out = bytearray(n)
+        for i in range(n):
+            a = addr + i
+            page = self.pages.get(a >> 12)
+            if page is not None:
+                out[i] = page[a & 0xFFF]
+        return bytes(out)
+
+    def write_bytes(self, addr: int, data: bytes) -> None:
+        """Store data at addr, mapping the pages it touches."""
         for i, b in enumerate(data):
             a = addr + i
             page = self.pages.get(a >> 12)
@@ -738,12 +747,7 @@ class Machine:
             if page is None:
                 return 0
             return int.from_bytes(page[off : off + 8], "little")
-        v = 0
-        for i in range(8):
-            a = addr + i
-            p = self.pages.get(a >> 12)
-            v |= (p[a & 0xFFF] if p is not None else 0) << (8 * i)
-        return v
+        return int.from_bytes(self.read_bytes(addr, 8), "little")
 
     def raw_write8(self, addr: int, value: int, log: list | None) -> None:
         off = addr & 0xFFF
@@ -756,26 +760,8 @@ class Machine:
             page[off : off + 8] = value.to_bytes(8, "little")
             return
         if log is not None:
-            old = bytearray(8)
-            for i in range(8):
-                a = addr + i
-                p = self.pages.get(a >> 12)
-                old[i] = p[a & 0xFFF] if p is not None else 0
-            log.append((addr, bytes(old)))
-        for i in range(8):
-            a = addr + i
-            p = self.pages.get(a >> 12)
-            if p is None:
-                p = self.pages[a >> 12] = bytearray(_PAGE)
-            p[a & 0xFFF] = (value >> (8 * i)) & 0xFF
-
-    def undo_write(self, addr: int, old: bytes) -> None:
-        for i, b in enumerate(old):
-            a = addr + i
-            p = self.pages.get(a >> 12)
-            if p is None:
-                p = self.pages[a >> 12] = bytearray(_PAGE)
-            p[a & 0xFFF] = b
+            log.append((addr, self.read_bytes(addr, 8)))
+        self.write_bytes(addr, value.to_bytes(8, "little"))
 
     def canonical_memory(self) -> dict[int, bytes]:
         """Nonzero pages only: the behavioural content of memory."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detect import DEFAULT_IDENTITY, SpecContext, ViolationRecord
+from .detect import DEFAULT_IDENTITY, IDENTITY_MODES, SpecContext, ViolationRecord
 from .engine import (
     DEFAULT_STRIDE,
     DEFAULT_WINDOW,
@@ -160,6 +160,8 @@ def enumerate_paths(program: Program | ExecImage, input_bytes: bytes = b"",
     # charges its window, so a speculative loop would never retire.
     SpecConfig(window=window, stride=stride, max_order=max_order,
                max_steps=max_steps)
+    if identity not in IDENTITY_MODES:
+        raise ValueError(f"unknown identity mode {identity!r}")
     image = program if isinstance(program, ExecImage) else ExecImage(program)
     records: list[ViolationRecord] = []
     keys: set = set()

@@ -89,7 +89,7 @@ class ReferenceEngine(ExposureEngine):
             raise EngineError("internal-log-underflow")
         while len(wlog) > nlog:
             addr, old = wlog.pop()
-            m.undo_write(addr, old)
+            m.write_bytes(addr, old)
         m.regs[:] = regs
         m.fa, m.fb, m.pc, m.sp = fa, fb, pc, sp
         alloc_restore(m.alloc, asnap)

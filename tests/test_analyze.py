@@ -1,7 +1,5 @@
 """Finding aggregation, controllability classes, and whitelist construction."""
 
-import random
-
 from specvm.analyze import (
     CLASS_CODE,
     CLASS_CONTROLLED,
@@ -11,7 +9,6 @@ from specvm.analyze import (
     aggregate,
     build_whitelist,
     load_trace,
-    merge,
     read_whitelist,
     render_report,
     write_whitelist,
@@ -71,31 +68,6 @@ def test_severity_ranks_code_worst():
     assert SEVERITY[CLASS_CODE] < SEVERITY[CLASS_CONTROLLED]
     assert SEVERITY[CLASS_CONTROLLED] < SEVERITY[CLASS_UNKNOWN]
     assert SEVERITY[CLASS_UNKNOWN] < SEVERITY[CLASS_UNCONTROLLED]
-
-
-def _finding_state(findings):
-    return {k: (frozenset(f.inputs), frozenset(f.identities),
-                frozenset(f.branch_chains), f.min_order, f.occurrences)
-            for k, f in findings.items()}
-
-
-def test_merge_is_associative_and_commutative():
-    rng = random.Random(5)
-    pool = (many(7) + many(4, offending="x:y:0") + many(3, kind=KIND_CODE)
-            + many(5, offset=24, branches=("q:r:2",)))
-    rng.shuffle(pool)
-    a, b, c = aggregate(pool[:6]), aggregate(pool[6:11]), aggregate(pool[11:])
-    left = merge(merge(a, b), c)
-    right = merge(a, merge(b, c))
-    swapped = merge(c, merge(b, a))
-    assert _finding_state(left) == _finding_state(right) == _finding_state(swapped)
-    assert _finding_state(left) == _finding_state(aggregate(pool))
-
-
-def test_merge_with_empty_is_identity():
-    a = aggregate(many(3))
-    assert _finding_state(merge(a, {})) == _finding_state(a)
-    assert _finding_state(merge({}, a)) == _finding_state(a)
 
 
 def test_whitelist_requires_evidence_and_innocence():

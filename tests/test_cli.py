@@ -273,6 +273,22 @@ def test_analyze_writes_report_and_whitelist(session_dir, tmp_path, capsys):
     assert wl.read_text().startswith("#%svm ")
 
 
+def test_analyze_of_several_traces_is_analyze_of_their_records(session_dir, tmp_path):
+    header, *lines = (session_dir / "trace.jsonl").read_text().splitlines()
+    halves = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for i, path in enumerate(halves):
+        path.write_text("\n".join([header, *lines[i::2]]) + "\n")
+    outputs = []
+    for tag, traces in (("whole", [session_dir / "trace.jsonl"]), ("split", halves)):
+        report, wl = tmp_path / f"{tag}.report", tmp_path / f"{tag}.wl"
+        assert main(["analyze", *map(str, traces), "--min-triggers", "5",
+                     "--stats", str(session_dir / "branch_stats.json"),
+                     "--whitelist-min", "1", "--whitelist-out", str(wl),
+                     "--out", str(report)]) == 0
+        outputs.append((report.read_bytes(), wl.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_analyze_takes_identity_from_config(session_dir, tmp_path, capsys):
     trace = str(session_dir / "trace.jsonl")
     assert main(["analyze", trace]) == 0
@@ -339,11 +355,23 @@ def test_analyze_unreadable_trace_writes_no_whitelist(tmp_path, capsys):
     assert "not written" not in capsys.readouterr().err
 
 
+RECORD = {"kind": "data-oob", "offending": "main:e:3", "addr": "0x100040",
+          "referent": {"ord": 0, "base": 0x100000, "size": 64}, "offset": 64,
+          "branches": ["main:e:1"], "order": 1, "input": "ab12", "run": 3,
+          "detail": ""}
+MISTYPED = [("offset", [1]), ("branches", [["x"]]), ("input", [1]),
+            ("offset", "abc"), ("kind", 5), ("order", "one"),
+            ("branches", "main:e:1"), ("run", None), ("detail", 0),
+            ("offending", None), ("referent", {"ord": "0", "base": 1, "size": 2})]
+
+
 @pytest.mark.parametrize("line, diagnostic", [
     ('{"kind": "data-oob", "addr": "0x10"}', "line 2: record lacks field 'offending'"),
     ('{"kind": "data-oob", "offending": "main:e:0", "addr": "zz"}',
      "line 2: malformed record field"),
-])
+] + [(json.dumps({**RECORD, field: value}),
+      f"line 2: malformed record field: {field} has the wrong type")
+     for field, value in MISTYPED])
 def test_analyze_malformed_trace_line_exits_1(tmp_path, capsys, line, diagnostic):
     trace = tmp_path / "trace.jsonl"
     trace.write_text('#%svm {"file": "trace"}\n' + line + "\n")

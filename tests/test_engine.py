@@ -78,7 +78,7 @@ def test_branch_stats_counting():
     assert s.count("x") == 0
     assert s.bump("x") == 1
     assert s.bump("x") == 2
-    s.preseed("y", 10)
+    s = BranchStats({**s.to_dict(), "y": 10})
     assert s.bump("y") == 11
     assert BranchStats(s.to_dict()).count("x") == 2
 

@@ -62,6 +62,14 @@ def test_fuzz_config_validation():
             FuzzConfig(**bad)
 
 
+def test_fuzz_config_rejects_an_unknown_identity_mode():
+    # Checked where it is set, not at the first record: a session whose
+    # runs record nothing would otherwise finish and write the bad mode.
+    with pytest.raises(ValueError, match="^unknown identity mode 'bogus'$"):
+        FuzzConfig(identity="bogus")
+    assert FuzzConfig(identity="raw").identity == "raw"
+
+
 @given(st.binary(max_size=80), st.integers(min_value=0, max_value=2 ** 32))
 @settings(max_examples=60)
 def test_mutate_respects_max_len(data, seed):

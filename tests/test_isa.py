@@ -142,6 +142,44 @@ def test_jtab_needs_at_least_one_target():
     assert p.functions["main"][0].instrs[0].op is Op.JTAB
 
 
+@pytest.mark.parametrize("body, line, message", [
+    ("e:\n  jtab r0\n", 3, "jtab needs at least 2 operands"),
+    ("e:\n  const r0, 1\n  br lt, e\n", 4, "br expects 3 operand(s), got 2"),
+    ("e:\n  bogus r1\n", 3, "unknown opcode 'bogus'"),
+    ("e:\n  const r0, 1\n  bogus r1\n", 4, "unknown opcode 'bogus'"),
+    ("e:\n  jmp\n  halt\n", 3, "jmp expects 1 operand(s), got 0"),
+], ids=["jtab-alone", "br-short", "bogus-alone", "bogus-last", "jmp-mid-block"])
+def test_a_bad_line_gives_one_diagnostic(body, line, message):
+    # The bad line stays in its block (or, for an unknown opcode, the block
+    # keeps no follow-on problem), so no second diagnostic appears.
+    with pytest.raises(AsmError) as ei:
+        parse_program("fn main:\n" + body)
+    assert [(d.line, d.message) for d in ei.value.diagnostics] == [(line, message)]
+
+
+def test_a_line_dropped_mid_block_leaves_the_block_checked():
+    # Only a dropped last line excuses a missing terminator.
+    with pytest.raises(AsmError) as ei:
+        parse_program("fn main:\ne:\n  bogus r1\n  const r0, 1\n")
+    assert [(d.line, d.message) for d in ei.value.diagnostics] == [
+        (3, "unknown opcode 'bogus'"), (4, "missing terminator at block end")]
+
+
+def test_validate_reports_operand_counts_as_the_assembler_does():
+    p = Program({"main": [BasicBlock("e", [Instruction(Op.JMP, ())])]}, "main", b"")
+    assert validate(p).problems == [(InstructionId("main", "e", 0),
+                                     "jmp expects 1 operand(s), got 0")]
+
+
+def test_data_string_characters_must_be_bytes():
+    with pytest.raises(AsmError) as ei:
+        parse_program('data "ok\u20ac\u0141"\nfn main:\ne:\n  halt\n')
+    assert [(d.line, d.message) for d in ei.value.diagnostics] == [
+        (1, "character '\u20ac' in data string is not a byte; write its bytes as \\xNN")]
+    # Latin-1 characters are the byte of their code point.
+    assert parse_program('data "\u00e9"\nfn main:\ne:\n  halt\n').data == b"\xe9"
+
+
 def test_negative_immediate_wraps_to_two_complement():
     p = parse_program("fn main:\ne:\n  const r0, -1\n  halt\n")
     assert p.functions["main"][0].instrs[0].ops[1].v == (1 << 64) - 1

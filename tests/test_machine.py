@@ -229,7 +229,7 @@ def test_bisect_classification_matches_linear_scan(kept, dropped, after, width):
         m.alloc.alloc(size)
     # Nonzero bytes everywhere near the heap, so any wrongly zeroed byte shows.
     lo = HEAP_BASE - 128
-    m._blit(lo, bytes((i * 37 + 1) & 0xFF or 1 for i in range(m.alloc.bump + 128 - lo)))
+    m.write_bytes(lo, bytes((i * 37 + 1) & 0xFF or 1 for i in range(m.alloc.bump + 128 - lo)))
 
     edges = {HEAP_BASE - width - 1, HEAP_BASE - 8, HEAP_BASE - 1,
              m.alloc.bump, m.alloc.bump + REDZONE, m.alloc.bump + REFERENT_WINDOW + width}
@@ -281,8 +281,24 @@ def test_write_log_and_undo():
     m.raw_write8(100, 0xBBBB, log)
     assert m.raw_read8(100) == 0xBBBB
     addr, old = log[0]
-    m.undo_write(addr, old)
+    m.write_bytes(addr, old)
     assert m.raw_read8(100) == 0xAAAA
+
+
+def test_page_straddling_write_logs_and_undoes_through_the_byte_pair():
+    m = machine_for("fn main:\ne:\n  halt\n")
+    addr = 0x5000 - 3  # 3 bytes on a written page, 5 on one never written
+    m.write_bytes(addr, b"\x11\x22\x33")
+    assert 0x5 not in m.pages
+    assert m.read_bytes(addr, 8) == b"\x11\x22\x33" + bytes(5)
+    assert 0x5 not in m.pages  # reading maps nothing
+    log = []
+    m.raw_write8(addr, 0x0807060504030201, log)
+    assert log == [(addr, b"\x11\x22\x33" + bytes(5))]
+    assert m.raw_read8(addr) == 0x0807060504030201
+    assert m.read_bytes(addr, 8) == bytes(range(1, 9))
+    m.write_bytes(*log[0])
+    assert m.raw_read8(addr) == 0x332211
 
 
 def test_canonical_memory_drops_zero_pages():

@@ -141,6 +141,15 @@ def test_window_and_stride_must_be_positive(bound):
         SpecConfig(**{bound: 0})
 
 
+def test_identity_mode_is_checked_before_enumerating():
+    # A program with no branch records nothing, so only the up-front check
+    # can reject the mode.
+    with pytest.raises(ValueError, match="^unknown identity mode 'bogus'$"):
+        enumerate_paths(parse_program("fn main:\ne:\n  halt\n"), identity="bogus")
+    with pytest.raises(ValueError, match="^unknown identity mode 'bogus'$"):
+        enumerate_paths(builtin_gadget(1).program, b"\x09", identity="bogus")
+
+
 def test_max_steps_must_be_positive():
     # SpecConfig checks the oracle's bounds, so max_steps too.
     with pytest.raises(ValueError, match="^max_steps must be at least 1$"):
