@@ -19,7 +19,6 @@ from .isa import (
     InstructionId,
     Op,
     Program,
-    ValidationReport,
     emit_text,
     parse_program,
     validate,
@@ -51,7 +50,6 @@ __all__ = [
     "InstructionId",
     "Op",
     "Program",
-    "ValidationReport",
     "emit_text",
     "parse_program",
     "validate",

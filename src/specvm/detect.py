@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .isa import WORD_MASK
 from .machine import A_REDZONE, F_JTAB, F_RET
 
 KIND_DATA = "data-oob"
@@ -81,8 +82,10 @@ class ViolationRecord:
     @staticmethod
     def from_wire(d: dict) -> "ViolationRecord":
         """Rebuild a record from to_wire() output.  Raises ValueError when a
-        required field is missing or malformed, or a field has the wrong
-        type."""
+        required field is missing or malformed, a field has the wrong type,
+        or a value is one no run records: an address outside 0..2**64-1,
+        an order other than the number of branches, an unknown kind or a
+        negative run."""
         if not isinstance(d, dict):
             raise ValueError(f"record is not a JSON object: {d!r}")
         try:
@@ -124,6 +127,15 @@ class ViolationRecord:
             bad = "run"
         elif type(rec.detail) is not str:
             bad = "detail"
+        elif not 0 <= rec.addr <= WORD_MASK:
+            raise ValueError(f"bad record value: addr {d['addr']} is outside 0..2**64-1")
+        elif rec.order != len(branches):
+            raise ValueError(f"bad record value: order {rec.order} with "
+                             f"{len(branches)} branches")
+        elif rec.kind != KIND_DATA and rec.kind != KIND_CODE:
+            raise ValueError(f"bad record value: unknown kind {rec.kind!r}")
+        elif rec.run < 0:
+            raise ValueError(f"bad record value: run {rec.run} is negative")
         else:
             return rec
         raise ValueError(f"malformed record field: {bad} has the wrong type")

@@ -80,17 +80,10 @@ def _reserved_register_used(program: Program) -> str | None:
 
 
 def _in_degree(blocks: list[BasicBlock]) -> Counter:
-    """label -> number of BR, JMP and JTAB edges that enter it."""
-    degree: Counter = Counter()
-    for b in blocks:
-        term = b.instrs[-1]
-        if term.op is Op.BR:
-            degree.update((term.ops[1].name, term.ops[2].name))
-        elif term.op is Op.JMP:
-            degree[term.ops[0].name] += 1
-        elif term.op is Op.JTAB:
-            degree.update(lab.name for lab in term.ops[1:])
-    return degree
+    """label -> number of BR, JMP and JTAB edges that enter it: the label
+    operands of the blocks' terminators."""
+    return Counter(o.name for b in blocks for o in b.instrs[-1].ops
+                   if isinstance(o, Lab))
 
 
 def _edge_payload(mode: str, cc: str) -> list[Instruction]:
@@ -122,9 +115,6 @@ def _fresh_label(base: str, used: set[str]) -> str:
 
 
 def _instrument(program: Program, whitelist: set[str], mode: str) -> HardenResult:
-    if mode not in MODES:
-        raise HardenError(f"unknown hardening mode {mode!r}")
-    whitelist = set(whitelist or ())
     if mode == SLH_MODE:
         used_at = _reserved_register_used(program)
         if used_at is not None:
@@ -211,9 +201,9 @@ def _instrument(program: Program, whitelist: set[str], mode: str) -> HardenResul
         new_functions[fn] = rebuilt
 
     hardened = Program(new_functions, program.entry, program.data)
-    report = validate(hardened)
-    if not report.ok:
-        raise HardenError(f"instrumented program failed validation: {report.problems}")
+    problems = validate(hardened)
+    if problems:
+        raise HardenError(f"instrumented program failed validation: {problems}")
     return HardenResult(hardened, summary, branch_map)
 
 

@@ -18,6 +18,15 @@ be negative (stored two's-complement in 64 bits).  Condition codes are the
 unsigned comparisons ``eq ne lt le gt ge``.  A data string is bytes: a
 character stands for the byte of its code point, so one above U+00FF is
 an error and its bytes are written as ``\\xNN`` escapes.
+
+One operand table, read through ``operand_kinds``, says what operands each
+opcode takes.  ``parse_program`` converts each operand token by its kind
+without judging it, keeping the token text when it lacks that kind's form,
+and reports only structure: directives, names of functions and blocks,
+unknown opcodes, and lines outside a block.  ``validate`` checks every
+instruction rule, operand counts and forms included, for assembled and
+built programs alike, and its problems become the assembler's remaining
+diagnostics.  ``machine.ExecImage`` decodes operands by the same table.
 """
 
 from __future__ import annotations
@@ -69,7 +78,7 @@ INVERSE_CC = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt", "le": "gt", "gt": 
 
 # Operand shape per opcode.  Letters: r register, i immediate, x register or
 # immediate, c condition code, l block label, f function name, L one or more
-# block labels (JTAB tail).
+# block labels (JTAB tail).  Read it through operand_kinds.
 _SHAPES = {
     Op.CONST: "ri",
     Op.MOV: "rr",
@@ -101,14 +110,15 @@ _SHAPES = {
 _OP_BY_NAME = {op.name.lower(): op for op in Op}
 
 
-def _operand_kinds(op: Op, n: int) -> tuple[str, str | None]:
-    """The kinds of op's operands when it has n of them, and None; or ""
-    and the problem when op does not take n operands."""
+def operand_kinds(op: Op, n: int) -> tuple[str, str | None]:
+    """The kinds of op's operands when it has n of them, one letter each as
+    in _SHAPES (every label of a JTAB tail is an L), and None; or "" and
+    the problem when op does not take n operands."""
     shape = _SHAPES[op]
     if shape.endswith("L"):
         fixed = shape[:-1]
         if n > len(fixed):
-            return fixed + "l" * (n - len(fixed)), None
+            return fixed + "L" * (n - len(fixed)), None
         return "", f"{op.name.lower()} needs at least {len(fixed) + 1} operands"
     if n != len(shape):
         return "", f"{op.name.lower()} expects {len(shape)} operand(s), got {n}"
@@ -155,9 +165,6 @@ class FnRef:
         return self.name
 
 
-Operand = "Reg | Imm | Lab | Cond | FnRef"
-
-
 @dataclass(frozen=True)
 class Instruction:
     op: Op
@@ -186,11 +193,6 @@ class InstructionId:
     def __str__(self) -> str:
         return f"{self.fn}:{self.block}:{self.idx}"
 
-    @staticmethod
-    def parse(text: str) -> "InstructionId":
-        fn, block, idx = text.split(":")
-        return InstructionId(fn, block, int(idx))
-
 
 @dataclass
 class Program:
@@ -205,12 +207,6 @@ class Program:
             for block in blocks:
                 for idx, ins in enumerate(block.instrs):
                     yield InstructionId(fn, block.label, idx), ins
-
-    def resolve(self, iid: InstructionId) -> Instruction:
-        for block in self.functions[iid.fn]:
-            if block.label == iid.block:
-                return block.instrs[iid.idx]
-        raise KeyError(str(iid))
 
     def branch_ids(self) -> list[InstructionId]:
         return [iid for iid, ins in self.iter_instructions() if ins.op is Op.BR]
@@ -231,20 +227,6 @@ class AsmError(Exception):
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = diagnostics
         super().__init__("; ".join(str(d) for d in diagnostics))
-
-
-@dataclass
-class ValidationReport:
-    problems: list[tuple[InstructionId | None, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(f"{iid if iid else '<program>'}: {msg}" for iid, msg in self.problems)
 
 
 # The problems validate finds in a block that lost its last line, which
@@ -333,41 +315,23 @@ def _is_name(tok: str) -> bool:
     return all(c.isalnum() or c in "_." for c in tok[1:])
 
 
-def _parse_operand(kind: str, tok: str, lineno: int, diags: list[Diagnostic]):
-    tok = tok.strip()
-    if kind == "r":
-        if tok.startswith("r") and tok[1:].isdigit():
-            n = int(tok[1:])
-            if n >= REG_COUNT:
-                diags.append(Diagnostic(lineno, f"register {tok} out of range (r0..r{REG_COUNT - 1})"))
-                return Reg(0)
-            return Reg(n)
-        diags.append(Diagnostic(lineno, f"expected register, got '{tok}'"))
-        return Reg(0)
-    if kind in ("i", "x"):
-        if kind == "x" and tok.startswith("r") and tok[1:].isdigit():
-            return _parse_operand("r", tok, lineno, diags)
-        try:
+def _operand(kind: str, tok: str):
+    """tok as an operand of the given kind, unjudged (validate checks it), or
+    tok itself when it lacks that kind's form."""
+    try:
+        if kind in "rx" and tok.startswith("r") and tok[1:].isdigit():
+            return Reg(int(tok[1:]))
+        if kind in "ix":
             return Imm(int(tok, 0) & WORD_MASK)
-        except ValueError:
-            diags.append(Diagnostic(lineno, f"expected immediate, got '{tok}'"))
-            return Imm(0)
+    except ValueError:  # not a number int() reads ("r²"), or too long a one
+        return tok
     if kind == "c":
-        if tok in CONDITIONS:
-            return Cond(tok)
-        diags.append(Diagnostic(lineno, f"unknown condition code '{tok}'"))
-        return Cond("eq")
-    if kind == "l":
-        if _is_name(tok):
-            return Lab(tok)
-        diags.append(Diagnostic(lineno, f"bad label name '{tok}'"))
-        return Lab("__bad")
+        return Cond(tok)
+    if kind in "lL":
+        return Lab(tok)
     if kind == "f":
-        if _is_name(tok):
-            return FnRef(tok)
-        diags.append(Diagnostic(lineno, f"bad function name '{tok}'"))
-        return FnRef("__bad")
-    raise AssertionError(kind)
+        return FnRef(tok)
+    return tok
 
 
 def parse_program(text: str) -> Program:
@@ -375,6 +339,8 @@ def parse_program(text: str) -> Program:
 
     Raises AsmError carrying line-numbered diagnostics when the text is not
     syntactically well formed or the resulting program fails validation.
+    Every diagnostic but "program has no functions" carries the line it is
+    about: an instruction's, a block's label line, or a function's fn line.
     """
     diags: list[Diagnostic] = []
     prog = Program(functions={}, entry="", data=b"")
@@ -384,11 +350,9 @@ def parse_program(text: str) -> Program:
     cur_block: BasicBlock | None = None
     iid_lines: dict[InstructionId, int] = {}
     block_lines: dict[tuple[str, str], int] = {}
+    fn_lines: dict[str, int] = {}
     lost_tail: set[tuple[str, str]] = set()  # blocks whose last line was dropped
-
-    def close_block():
-        nonlocal cur_block
-        cur_block = None
+    bad_fns: set[str] = set()  # placeholder names of diagnosed fn lines
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw).strip()
@@ -399,10 +363,12 @@ def parse_program(text: str) -> Program:
             if not _is_name(name):
                 diags.append(Diagnostic(lineno, f"bad function name '{name}'"))
                 name = f"__bad{lineno}"
+                bad_fns.add(name)
             if name in prog.functions:
                 diags.append(Diagnostic(lineno, f"duplicate function '{name}'"))
-            close_block()
+            cur_block = None
             prog.functions[name] = []
+            fn_lines[name] = lineno
             if not prog.entry:
                 prog.entry = name
             cur_fn = name
@@ -441,9 +407,9 @@ def parse_program(text: str) -> Program:
             continue
         rest = parts[1] if len(parts) > 1 else ""
         toks = [t.strip() for t in rest.split(",")] if rest.strip() else []
-        kinds, problem = _operand_kinds(op, len(toks))
+        kinds, problem = operand_kinds(op, len(toks))
         if problem is None:
-            ops = tuple(_parse_operand(k, tok, lineno, diags) for k, tok in zip(kinds, toks))
+            ops = tuple(_operand(k, tok) for k, tok in zip(kinds, toks))
         else:
             ops = tuple(toks)  # kept in its block; validate reports the count
         iid_lines[InstructionId(cur_fn, cur_block.label, len(cur_block.instrs))] = lineno
@@ -455,17 +421,14 @@ def parse_program(text: str) -> Program:
         diags.append(Diagnostic(0, "program has no functions"))
         raise AsmError(diags)
 
-    report = validate(prog)
-    for iid, msg in report.problems:
-        if (msg in (_EMPTY_BLOCK, _NO_TERMINATOR) and iid is not None
-                and (iid.fn, iid.block) in lost_tail):
-            continue
-        if iid is not None and iid in iid_lines:
-            diags.append(Diagnostic(iid_lines[iid], msg))
-        elif iid is not None and (iid.fn, iid.block) in block_lines:
-            diags.append(Diagnostic(block_lines[(iid.fn, iid.block)], msg))
-        else:
-            diags.append(Diagnostic(0, msg))
+    for where, msg in validate(prog):
+        if isinstance(where, InstructionId):
+            block = (where.fn, where.block)
+            if msg in (_EMPTY_BLOCK, _NO_TERMINATOR) and block in lost_tail:
+                continue
+            diags.append(Diagnostic(iid_lines.get(where) or block_lines[block], msg))
+        elif where not in bad_fns:
+            diags.append(Diagnostic(fn_lines.get(where, 0), msg))
     if diags:
         diags.sort(key=lambda d: d.line)
         raise AsmError(diags)
@@ -520,39 +483,41 @@ def emit_text(p: Program) -> str:
 # Validation
 
 
-def _check_operands(iid: InstructionId, ins: Instruction, kinds: str,
-                    labels: set[str], functions: dict, problems: list) -> None:
-    for kind, opnd in zip(kinds, ins.ops):
-        if kind == "r" and not (isinstance(opnd, Reg) and 0 <= opnd.n < REG_COUNT):
-            problems.append((iid, f"operand {opnd} is not a valid register"))
-        elif kind == "i" and not isinstance(opnd, Imm):
-            problems.append((iid, f"operand {opnd} is not an immediate"))
-        elif kind == "x" and not isinstance(opnd, (Reg, Imm)):
-            problems.append((iid, f"operand {opnd} is neither register nor immediate"))
-        elif kind == "x" and isinstance(opnd, Reg) and not 0 <= opnd.n < REG_COUNT:
-            problems.append((iid, f"operand {opnd} is not a valid register"))
-        elif kind == "c" and not (isinstance(opnd, Cond) and opnd.cc in CONDITIONS):
-            problems.append((iid, f"operand {opnd} is not a condition code"))
-        elif kind == "l":
-            if not isinstance(opnd, Lab):
-                problems.append((iid, f"operand {opnd} is not a label"))
-            elif opnd.name not in labels:
-                problems.append((iid, f"unresolved label '{opnd.name}'"))
-        elif kind == "f":
-            if not isinstance(opnd, FnRef):
-                problems.append((iid, f"operand {opnd} is not a function name"))
-            elif opnd.name not in functions:
-                problems.append((iid, f"call to missing function '{opnd.name}'"))
+def _operand_problem(kind: str, opnd, labels: set[str], functions: dict) -> str | None:
+    """What is wrong with opnd as an operand of the given kind, or None."""
+    if kind == "c":
+        if isinstance(opnd, Cond) and opnd.cc in CONDITIONS:
+            return None
+        return f"unknown condition code '{opnd}'"
+    if kind in "lL":
+        if not (isinstance(opnd, Lab) and _is_name(opnd.name)):
+            return f"bad label name '{opnd}'"
+        return None if opnd.name in labels else f"unresolved label '{opnd}'"
+    if kind == "f":
+        if not (isinstance(opnd, FnRef) and _is_name(opnd.name)):
+            return f"bad function name '{opnd}'"
+        return None if opnd.name in functions else f"call to missing function '{opnd}'"
+    if kind in "rx" and isinstance(opnd, Reg):
+        if 0 <= opnd.n < REG_COUNT:
+            return None
+        return f"register {opnd} out of range (r0..r{REG_COUNT - 1})"
+    if kind in "ix" and isinstance(opnd, Imm):
+        return None
+    return f"expected {'register' if kind == 'r' else 'immediate'}, got '{opnd}'"
 
 
-def validate(p: Program) -> ValidationReport:
-    """Check every structural invariant; deterministic and side-effect free."""
-    problems: list[tuple[InstructionId | None, str]] = []
+def validate(p: Program) -> list[tuple[InstructionId | str | None, str]]:
+    """Every broken rule of p, as (where, message) pairs; empty when p is
+    valid.  where is the InstructionId of the instruction, or of index 0
+    of the block, that the problem is about; a function's name for a
+    function-level problem; None for the program.  Deterministic and
+    side-effect free."""
+    problems: list[tuple[InstructionId | str | None, str]] = []
     if p.entry not in p.functions:
         problems.append((None, f"entry function '{p.entry}' does not exist"))
     for fn, blocks in p.functions.items():
         if not blocks:
-            problems.append((None, f"function '{fn}' has no blocks"))
+            problems.append((fn, f"function '{fn}' has no blocks"))
             continue
         seen = set()
         for block in blocks:
@@ -567,7 +532,7 @@ def validate(p: Program) -> ValidationReport:
                 continue
             for idx, ins in enumerate(block.instrs):
                 iid = InstructionId(fn, block.label, idx)
-                kinds, problem = _operand_kinds(ins.op, len(ins.ops))
+                kinds, problem = operand_kinds(ins.op, len(ins.ops))
                 if problem is not None:  # the one problem of this instruction
                     problems.append((iid, problem))
                     continue
@@ -576,8 +541,11 @@ def validate(p: Program) -> ValidationReport:
                     problems.append((iid, "control transfer before block end"))
                 if last and ins.op not in TERMINATORS:
                     problems.append((iid, _NO_TERMINATOR))
-                _check_operands(iid, ins, kinds, labels, p.functions, problems)
-    return ValidationReport(problems)
+                for kind, opnd in zip(kinds, ins.ops):
+                    problem = _operand_problem(kind, opnd, labels, p.functions)
+                    if problem is not None:
+                        problems.append((iid, problem))
+    return problems
 
 
 __all__ = [
@@ -598,7 +566,7 @@ __all__ = [
     "Program",
     "Diagnostic",
     "AsmError",
-    "ValidationReport",
+    "operand_kinds",
     "parse_program",
     "emit_text",
     "validate",

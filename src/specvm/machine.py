@@ -71,9 +71,9 @@ from .isa import (
     WORD_MASK,
     Imm,
     InstructionId,
-    Lab,
     Op,
     Program,
+    operand_kinds,
 )
 
 # Access classes
@@ -224,13 +224,18 @@ RET_ENC_BASE = 0x5EC0_0000_0000
 class ExecImage:
     """Flattened, pre-decoded program: the interpreter runs on this.
 
-    code[i] is a 5-tuple (op, a, b, c, f) with op a plain int (O_*).
-    Labels are resolved to block indices, blocks to (start, length, fn,
-    label) in the flat instruction array, and block_starts[bi] and
-    block_lens[bi] repeat the first two as plain lists for the stepping
-    loops.  iid_of[i] is the InstructionId of code[i] and iid_str[i] its
-    text, built once here because branch bookkeeping and violation records
-    need it on every visit.
+    code[i] is a 5-tuple (op, a, b, c, f) with op a plain int (O_*).  The
+    operands fill a, b and c in order, each decoded by its kind in
+    isa.operand_kinds: a register as its number, an immediate reduced mod
+    2**64, a condition code as its index in isa.CONDITIONS, a label as the
+    index of its block, a function as its name, and a JTAB's labels as one
+    tuple of block indices.  Slots without an operand hold 0.  f is IMM
+    when a register-or-immediate operand is an immediate, else REGOP.
+    Blocks are (start, length, fn, label) in the flat instruction array,
+    and block_starts[bi] and block_lens[bi] repeat the first two as plain
+    lists for the stepping loops.  iid_of[i] is the InstructionId of
+    code[i] and iid_str[i] its text, built once here because branch
+    bookkeeping and violation records need it on every visit.
 
     handlers[i] executes code[i]: a closure (machine, ctx) returning
     OUT_OK, OUT_HALT or a Fault, built once here with its operands,
@@ -292,57 +297,31 @@ class ExecImage:
         self.entry_block = self.fn_entry[program.entry]
 
     def _decode(self, fn: str, ins, block_index) -> tuple:
-        op = ins.op
-        o = ins.ops
-        opc = int(op)
-
-        def blk(lab: Lab) -> int:
-            return block_index[(fn, lab.name)]
-
-        if op in (Op.ADD, Op.SUB, Op.MUL, Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR, Op.DIV):
-            third = o[2]
-            if isinstance(third, Imm):
-                return (opc, o[0].n, o[1].n, third.v, IMM)
-            return (opc, o[0].n, o[1].n, third.n, REGOP)
-        if op is Op.CONST:
-            return (opc, o[0].n, o[1].v & WORD_MASK, 0, 0)
-        if op is Op.MOV:
-            return (opc, o[0].n, o[1].n, 0, 0)
-        if op is Op.CMP:
-            second = o[1]
-            if isinstance(second, Imm):
-                return (opc, o[0].n, second.v, 0, IMM)
-            return (opc, o[0].n, second.n, 0, REGOP)
-        if op is Op.SETCC:
-            return (opc, o[0].n, CONDITIONS.index(o[1].cc), 0, 0)
-        if op is Op.BR:
-            return (opc, CONDITIONS.index(o[0].cc), blk(o[1]), blk(o[2]), 0)
-        if op is Op.JMP:
-            return (opc, blk(o[0]), 0, 0, 0)
-        if op is Op.JTAB:
-            return (opc, o[0].n, tuple(blk(lab) for lab in o[1:]), 0, 0)
-        if op is Op.LOAD:
-            return (opc, o[0].n, o[1].n, o[2].v, 0)
-        if op is Op.STORE:
-            return (opc, o[0].n, o[1].n, o[2].v, 0)
-        if op is Op.ALLOC:
-            second = o[1]
-            if isinstance(second, Imm):
-                return (opc, o[0].n, second.v, 0, IMM)
-            return (opc, o[0].n, second.n, 0, REGOP)
-        if op is Op.CALL:
-            return (opc, o[0].name, 0, 0, 0)
-        if op is Op.INPUT:
-            return (opc, o[0].n, o[1].v, 0, 0)
-        if op is Op.INPUTLEN:
-            return (opc, o[0].n, 0, 0, 0)
-        return (opc, 0, 0, 0, 0)  # RET, FENCE, HALT
+        slots: list = []
+        tail: list[int] = []
+        f = REGOP
+        kinds, _ = operand_kinds(ins.op, len(ins.ops))
+        for kind, o in zip(kinds, ins.ops):
+            if kind == "c":
+                v = CONDITIONS.index(o.cc)
+            elif kind in "lL":
+                v = block_index[(fn, o.name)]
+            elif kind == "f":
+                v = o.name
+            elif isinstance(o, Imm):
+                v = o.v & WORD_MASK
+                if kind == "x":
+                    f = IMM
+            else:
+                v = o.n
+            (tail if kind == "L" else slots).append(v)
+        if tail:
+            slots.append(tuple(tail))
+        a, b, c = slots + [0] * (3 - len(slots))
+        return (int(ins.op), a, b, c, f)
 
     def encode_ret(self, flat: int) -> int:
         return RET_ENC_BASE + 8 * flat
-
-    def decode_ret(self, value: int) -> int | None:
-        return _ret_target(value, len(self.code))
 
 
 def _ret_target(value: int, n_code: int) -> int | None:

@@ -241,8 +241,8 @@ def random_program(seed: int, loops: bool = False, recursion: bool = False) -> P
         init.append(Instruction(Op.CALL, (FnRef(names[recursive]),)))
         functions[names[0]][0].instrs[:0] = init
     prog = Program(functions=functions, entry=names[0], data=bytes(rng.randrange(256) for _ in range(rng.randrange(0, 9))))
-    report = validate(prog)
-    assert report.ok, str(report)
+    problems = validate(prog)
+    assert not problems, problems
     return prog
 
 

@@ -5,11 +5,12 @@ exactly as the threaded ``Machine.step`` must: same outcome (OUT_OK,
 OUT_HALT or the Fault), state, ``SpecContext`` records and write log.  It
 also returns the block a completed BR, JMP, JTAB or CALL entered, so that
 the lockstep can check that pc is that block's start.  It decodes each
-instruction from ``ExecImage.code`` on every call, dispatches on the opcode
-and reads block starts from ``ExecImage.blocks``, so it shares no
-dispatch, condition or block-table code with the handlers.  Memory, the allocator and access
-classification are shared; tests/test_machine.py checks those against
-linear references of their own.
+instruction from ``ExecImage.code`` on every call, dispatches on the opcode,
+reads block starts from ``ExecImage.blocks`` and decodes return words
+itself, so it shares no dispatch, condition, block-table or return-word
+code with the handlers.  Memory, the allocator and access classification
+are shared; tests/test_machine.py checks those against linear references
+of their own.
 
 tests/test_stepper.py steps a handler-driven and a reference-driven machine
 in lockstep and compares them after every instruction.
@@ -51,6 +52,7 @@ from specvm.machine import (
     O_XOR,
     OUT_HALT,
     OUT_OK,
+    RET_ENC_BASE,
     STACK_HI,
     STACK_LO,
     AccessClass,
@@ -171,8 +173,8 @@ def reference_step(self, ctx=None) -> tuple:
         if self.sp >= STACK_HI:
             return _fault(self, ctx, F_RET, pc, 0)
         value = self.raw_read8(self.sp)
-        target = image.decode_ret(value)
-        if target is None:
+        target, misaligned = divmod(value - RET_ENC_BASE, 8)
+        if target < 0 or misaligned or target >= len(image.code):
             return _fault(self, ctx, F_RET, pc, value)
         self.sp += 8
         self.pc = target

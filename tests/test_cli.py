@@ -78,6 +78,16 @@ def test_asm_rejects_bad_source(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_asm_gives_each_diagnostic_its_line(tmp_path, capsys):
+    bad = tmp_path / "nb.sasm"
+    bad.write_text("fn main:\nfn other:\ne:\n  jmp 1x\n")
+    assert main(["asm", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "svm: error: assembly errors:\n"
+        f"{bad}:1: function 'main' has no blocks\n"
+        f"{bad}:4: bad label name '1x'\n")
+
+
 # -- run ------------------------------------------------------------------------
 
 def test_run_reports_violations(g01, capsys):
@@ -377,6 +387,23 @@ def test_analyze_malformed_trace_line_exits_1(tmp_path, capsys, line, diagnostic
     trace.write_text('#%svm {"file": "trace"}\n' + line + "\n")
     assert main(["analyze", str(trace)]) == 1
     assert diagnostic in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, diagnostic", [
+    ("addr", "-0x10", "addr -0x10 is outside 0..2**64-1"),
+    ("addr", "0x10000000000000000", "addr 0x10000000000000000 is outside 0..2**64-1"),
+    ("order", -2, "order -2 with 1 branches"),
+    ("order", 2, "order 2 with 1 branches"),
+    ("kind", "bogus", "unknown kind 'bogus'"),
+    ("run", -1, "run -1 is negative"),
+], ids=["addr-negative", "addr-wide", "order-negative", "order-wrong", "kind", "run"])
+def test_analyze_rejects_values_no_run_records(tmp_path, capsys, field, value, diagnostic):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('#%svm {"file": "trace"}\n' + json.dumps({**RECORD, field: value}) + "\n")
+    assert main(["analyze", str(trace)]) == 1
+    out, err = capsys.readouterr()
+    assert f"line 2: bad record value: {diagnostic}" in err
+    assert out == "no findings\n"
 
 
 NOT_UTF8 = b"fn main:\xff\xfe\n"

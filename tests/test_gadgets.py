@@ -2,6 +2,7 @@
 
 import pytest
 
+from iidtools import parse_iid, resolve
 from specvm.engine import SpecConfig, full_order_stats, run_with_exposure
 from specvm.gadgets import AUX_IDS, MAIN_IDS, GadgetError, builtin_gadget, gadget_ids
 from specvm.isa import validate
@@ -48,9 +49,8 @@ def test_unknown_id_raises():
 def test_source_is_valid_and_self_describing(gid):
     g = builtin_gadget(gid)
     assert g.source.startswith("; svm ")
-    assert validate(g.program).ok
-    assert g.program.resolve(type(g.program.branch_ids()[0]).parse(
-        g.expected.offending)) is not None
+    assert validate(g.program) == []
+    assert resolve(g.program, parse_iid(g.expected.offending)) is not None
 
 
 @pytest.mark.parametrize("gid", gadget_ids())

@@ -3,6 +3,7 @@
 import pytest
 
 from fencescan import fence_guarded_branches
+from iidtools import parse_iid, resolve
 from specvm.engine import SpecConfig, full_order_stats, run_with_exposure
 from specvm.gadgets import builtin_gadget, gadget_ids
 from specvm.harden import (
@@ -61,7 +62,7 @@ def test_branch_map_points_at_branches():
     for result in (fence_pass(g.program), slh_pass(g.program)):
         assert set(result.branch_map) == {str(i) for i in g.program.branch_ids()}
         for hardened_iid in result.branch_map.values():
-            ins = result.program.resolve(InstructionId.parse(hardened_iid))
+            ins = resolve(result.program, parse_iid(hardened_iid))
             assert ins.op is Op.BR
 
 

@@ -1,12 +1,19 @@
 """Assembler, emitter, and structural validation."""
 
+import random
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from iidtools import parse_iid
+from specvm.cli import main
+from specvm.gadgets import builtin_gadget, gadget_ids
 from specvm.isa import (
     AsmError,
     BasicBlock,
     Cond,
+    FnRef,
     Imm,
     Instruction,
     InstructionId,
@@ -71,7 +78,7 @@ def test_comment_stripping_keeps_semicolon_in_data():
 def test_instruction_id_round_trip():
     iid = InstructionId("f", "blk", 3)
     assert str(iid) == "f:blk:3"
-    assert InstructionId.parse("f:blk:3") == iid
+    assert parse_iid("f:blk:3") == iid
 
 
 def test_missing_terminator_is_diagnosed():
@@ -157,6 +164,139 @@ def test_a_bad_line_gives_one_diagnostic(body, line, message):
     assert [(d.line, d.message) for d in ei.value.diagnostics] == [(line, message)]
 
 
+# Every diagnostic the assembler gives, as the exact (line, message) list
+# of a text that has only that fault.
+DIAGNOSTICS = [
+    ("reg-range", "fn main:\ne:\n  const r16, 1\n  halt\n",
+     [(3, "register r16 out of range (r0..r15)")]),
+    ("reg-form", "fn main:\ne:\n  mov r0, x\n  halt\n", [(3, "expected register, got 'x'")]),
+    ("reg-digits", "fn main:\ne:\n  mov r\u00b2, r1\n  halt\n",
+     [(3, "expected register, got 'r\u00b2'")]),
+    ("reg-long", f"fn main:\ne:\n  mov r0, r{'1' * 5000}\n  halt\n",
+     [(3, f"expected register, got 'r{'1' * 5000}'")]),
+    ("imm", "fn main:\ne:\n  const r0, zz\n  halt\n", [(3, "expected immediate, got 'zz'")]),
+    ("reg-or-imm", "fn main:\ne:\n  add r0, r1, zz\n  halt\n",
+     [(3, "expected immediate, got 'zz'")]),
+    ("reg-or-imm-range", "fn main:\ne:\n  cmp r0, r99\n  halt\n",
+     [(3, "register r99 out of range (r0..r15)")]),
+    ("condition", "fn main:\ne:\n  setcc r0, foo\n  halt\n",
+     [(3, "unknown condition code 'foo'")]),
+    ("br-condition", "fn main:\ne:\n  br xx, e, e\n", [(3, "unknown condition code 'xx'")]),
+    ("label-form", "fn main:\ne:\n  jmp 1x\n", [(3, "bad label name '1x'")]),
+    ("jtab-label-form", "fn main:\ne:\n  jtab r0, e, 2\n", [(3, "bad label name '2'")]),
+    ("label-unresolved", "fn main:\ne:\n  jmp nowhere\n", [(3, "unresolved label 'nowhere'")]),
+    ("fn-form", "fn main:\ne:\n  call 9f\n  halt\n", [(3, "bad function name '9f'")]),
+    ("fn-missing", "fn main:\ne:\n  call ghost\n  halt\n",
+     [(3, "call to missing function 'ghost'")]),
+    ("count", "fn main:\ne:\n  add r0, r1\n  halt\n", [(3, "add expects 3 operand(s), got 2")]),
+    ("jtab-count", "fn main:\ne:\n  jtab r0\n", [(3, "jtab needs at least 2 operands")]),
+    ("opcode", "fn main:\ne:\n  bogus r1\n", [(3, "unknown opcode 'bogus'")]),
+    ("mid-block", "fn main:\ne:\n  halt\n  halt\n", [(3, "control transfer before block end")]),
+    ("no-terminator", "fn main:\ne:\n  const r0, 1\n", [(3, "missing terminator at block end")]),
+    ("empty-block", "fn main:\ne:\nf:\n  halt\n", [(2, "empty block")]),
+    ("dangling-escape", 'data "ab\\"\nfn main:\ne:\n  halt\n',
+     [(1, "dangling escape in data string")]),
+    ("truncated-escape", 'data "\\x4"\nfn main:\ne:\n  halt\n',
+     [(1, "truncated \\x escape in data string")]),
+    ("hex-escape", 'data "\\xzz"\nfn main:\ne:\n  halt\n', [(1, "bad hex escape \\xzz")]),
+    ("unknown-escape", 'data "\\q"\nfn main:\ne:\n  halt\n', [(1, "unknown escape \\q")]),
+    ("unquoted-data", "data abc\nfn main:\ne:\n  halt\n",
+     [(1, "data directive expects a quoted string")]),
+    ("data-in-fn", 'fn main:\ndata "a"\ne:\n  halt\n',
+     [(2, "data directive must appear outside functions")]),
+    ("fn-name", "fn 1x:\ne:\n  halt\n", [(1, "bad function name '1x'")]),
+    ("fn-name-no-blocks", "fn 1x:\nfn main:\ne:\n  halt\n", [(1, "bad function name '1x'")]),
+    ("duplicate-fn", "fn main:\ne:\n  halt\nfn main:\ne:\n  halt\n",
+     [(4, "duplicate function 'main'")]),
+    ("block-name", "fn main:\n1x:\n  halt\n", [(2, "bad label name '1x'")]),
+    ("label-outside-fn", "x:\nfn main:\ne:\n  halt\n", [(1, "label 'x' outside any function")]),
+    ("outside-block", "halt\nfn main:\ne:\n  halt\n",
+     [(1, "instruction outside a block: 'halt'")]),
+    ("no-blocks", "fn main:\nfn other:\ne:\n  halt\n", [(1, "function 'main' has no blocks")]),
+    ("no-blocks-then-instr", "fn main:\n  halt\nfn other:\ne:\n  halt\n",
+     [(1, "function 'main' has no blocks"), (2, "instruction outside a block: 'halt'")]),
+    ("no-functions", "; nothing\n", [(0, "program has no functions")]),
+]
+
+
+@pytest.mark.parametrize("text, expected", [c[1:] for c in DIAGNOSTICS],
+                         ids=[c[0] for c in DIAGNOSTICS])
+def test_each_diagnostic_exactly(text, expected):
+    with pytest.raises(AsmError) as ei:
+        parse_program(text)
+    assert [(d.line, d.message) for d in ei.value.diagnostics] == expected
+
+
+def test_validate_judges_built_operands_as_the_assembler_does():
+    e = InstructionId("main", "e", 0)
+    blocks = [BasicBlock("e", [
+        Instruction(Op.ADD, (Imm(1), Reg(16), Cond("eq"))),
+        Instruction(Op.CALL, (Lab("main"),)),
+        Instruction(Op.BR, (Lab("e"), Reg(1), FnRef("main"))),
+    ])]
+    assert validate(Program({"main": blocks}, "main", b"")) == [
+        (e, "expected register, got '1'"),
+        (e, "register r16 out of range (r0..r15)"),
+        (e, "expected immediate, got 'eq'"),
+        (InstructionId("main", "e", 1), "bad function name 'main'"),
+        (InstructionId("main", "e", 2), "unknown condition code 'e'"),
+        (InstructionId("main", "e", 2), "bad label name 'r1'"),
+        (InstructionId("main", "e", 2), "bad label name 'main'"),
+    ]
+
+
+def test_validate_places_problems():
+    # A block and a function name their own place, the program None.
+    p = Program({"main": [BasicBlock("e", []), BasicBlock("e", [Instruction(Op.HALT)])],
+                 "f": []}, "nope", b"")
+    assert validate(p) == [(None, "entry function 'nope' does not exist"),
+                           (InstructionId("main", "e", 0), "duplicate label 'e'"),
+                           (InstructionId("main", "e", 0), "empty block"),
+                           ("f", "function 'f' has no blocks")]
+
+
+TOKEN = re.compile(r"[^\s,]+")
+JUNK = ("1x", "9f", "r16", "-1", "zz", "eq", "fn", "data", ":", '"', "\\", "x:", "")
+
+
+def _corrupt(rng: random.Random, text: str, vocab: list[str]) -> str:
+    """text with one to three random edits: a line dropped or doubled, or a
+    token replaced by a word of vocab or by junk."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        toks = list(TOKEN.finditer(lines[i]))
+        if not toks or rng.random() < 0.2:
+            lines[i:i + 1] = [lines[i]] * rng.randrange(3)
+            continue
+        t = rng.choice(toks)
+        new = rng.choice(vocab if rng.random() < 0.5 else JUNK)
+        lines[i] = lines[i][:t.start()] + new + lines[i][t.end():]
+    return "\n".join(lines)
+
+
+def test_corrupted_sources_give_clean_diagnostics(tmp_path, capsys):
+    sources = [builtin_gadget(g).source for g in gadget_ids()]
+    vocab = sorted({t for s in sources for t in TOKEN.findall(s)})
+    rng = random.Random(19)
+    path = tmp_path / "p.sasm"
+    for _ in range(200):
+        text = _corrupt(rng, rng.choice(sources), vocab)
+        try:
+            parse_program(text)
+            diagnostics = []
+        except AsmError as e:
+            diagnostics = e.diagnostics
+        for d in diagnostics:
+            assert d.line >= 1 or d.message == "program has no functions", (text, d)
+            # Every name a diagnostic quotes is one the text holds.
+            for name in re.findall(r"'([^']*)'", d.message):
+                assert name in text, (text, d)
+        path.write_text(text)
+        assert main(["asm", str(path)]) == (1 if diagnostics else 0)
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_a_line_dropped_mid_block_leaves_the_block_checked():
     # Only a dropped last line excuses a missing terminator.
     with pytest.raises(AsmError) as ei:
@@ -167,8 +307,8 @@ def test_a_line_dropped_mid_block_leaves_the_block_checked():
 
 def test_validate_reports_operand_counts_as_the_assembler_does():
     p = Program({"main": [BasicBlock("e", [Instruction(Op.JMP, ())])]}, "main", b"")
-    assert validate(p).problems == [(InstructionId("main", "e", 0),
-                                     "jmp expects 1 operand(s), got 0")]
+    assert validate(p) == [(InstructionId("main", "e", 0),
+                            "jmp expects 1 operand(s), got 0")]
 
 
 def test_data_string_characters_must_be_bytes():
@@ -187,15 +327,14 @@ def test_negative_immediate_wraps_to_two_complement():
 
 def test_validate_reports_empty_block():
     p = Program({"main": [BasicBlock("e", [])]}, "main", b"")
-    report = validate(p)
-    assert not report.ok
-    assert any("empty block" in msg for _, msg in report.problems)
+    problems = validate(p)
+    assert problems
+    assert any("empty block" in msg for _, msg in problems)
 
 
 def test_validate_reports_missing_entry():
     p = Program({"f": [BasicBlock("e", [Instruction(Op.HALT, ())])]}, "main", b"")
-    report = validate(p)
-    assert any("entry" in msg for _, msg in report.problems)
+    assert any("entry" in msg for _, msg in validate(p))
 
 
 def test_validate_accepts_built_program():
@@ -204,7 +343,7 @@ def test_validate_accepts_built_program():
         Instruction(Op.CMP, (Reg(0), Imm(1))),
         Instruction(Op.BR, (Cond("eq"), Lab("out"), Lab("out"))),
     ]), BasicBlock("out", [Instruction(Op.HALT, ())])]
-    assert validate(Program({"main": blocks}, "main", b"")).ok
+    assert validate(Program({"main": blocks}, "main", b"")) == []
 
 
 def test_branch_ids_enumeration():

@@ -6,7 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from refspec import alloc_restore, alloc_snapshot
 from specvm.gadgets import builtin_gadget, gadget_ids
-from specvm.isa import parse_program
+from specvm.isa import (
+    WORD_MASK,
+    BasicBlock,
+    Cond,
+    Imm,
+    Instruction,
+    Op,
+    Program,
+    Reg,
+    emit_text,
+    parse_program,
+)
 from specvm.machine import (
     A_REDZONE,
     A_SCRATCH,
@@ -20,6 +31,7 @@ from specvm.machine import (
     F_STEP,
     HEAP_BASE,
     HEAP_CEILING,
+    OUT_OK,
     REDZONE,
     REFERENT_WINDOW,
     RET_ENC_BASE,
@@ -364,20 +376,54 @@ def test_fence_is_a_no_op_architecturally():
     assert r.regs[0] == 4
 
 
+def test_built_immediates_run_as_their_assembled_twin():
+    # A built program may hold an immediate outside 0..2**64-1; decoding
+    # reduces it mod 2**64 as the assembler does, so the built program and
+    # its emit/parse twin end in the same state.
+    built = Program({"main": [BasicBlock("e", [
+        Instruction(Op.OR, (Reg(0), Reg(1), Imm(-1))),
+        Instruction(Op.CMP, (Reg(0), Imm(7))),
+        Instruction(Op.SETCC, (Reg(2), Cond("gt"))),
+        Instruction(Op.CMP, (Reg(2), Imm(-1 << 64 | 1))),
+        Instruction(Op.SETCC, (Reg(3), Cond("eq"))),
+        Instruction(Op.INPUT, (Reg(4), Imm(-1))),
+        Instruction(Op.HALT, ()),
+    ])]}, "main", b"")
+    twin = parse_program(emit_text(built))
+    a = run_architectural(built, b"\x05")
+    b = run_architectural(twin, b"\x05")
+    assert a.state_fingerprint() == b.state_fingerprint()
+    assert a.regs[:5] == (WORD_MASK, 0, 1, 1, 0)
+
+
 # -- return slot encoding ------------------------------------------------------
 
+RET_SRC = "fn main:\ne:\n  call f\n  halt\nfn f:\ne:\n  ret\n"
+
+
+def _ret_with_word(image: ExecImage, word: int):
+    """Step f's RET with word in the return slot: the machine and the
+    outcome."""
+    m = Machine(image, b"")
+    m.sp = STACK_HI - 8
+    m.raw_write8(m.sp, word, None)
+    m.pc = len(image.code) - 1
+    return m, m.step()
+
+
 def test_ret_encoding_round_trip():
-    image = ExecImage(parse_program("fn main:\ne:\n  call f\n  halt\nfn f:\ne:\n  ret\n"))
+    image = ExecImage(parse_program(RET_SRC))
     for flat in range(len(image.code)):
-        assert image.decode_ret(image.encode_ret(flat)) == flat
+        m, out = _ret_with_word(image, image.encode_ret(flat))
+        assert (out, m.pc, m.sp) == (OUT_OK, flat, STACK_HI)
     assert image.encode_ret(1) == RET_ENC_BASE + 8
 
 
 def test_ret_decoding_rejects_garbage():
-    image = ExecImage(parse_program("fn main:\ne:\n  halt\n"))
-    assert image.decode_ret(0) is None
-    assert image.decode_ret(RET_ENC_BASE + 4) is None  # misaligned
-    assert image.decode_ret(RET_ENC_BASE + 8 * 100) is None  # out of range
+    image = ExecImage(parse_program(RET_SRC))
+    for word in (0, RET_ENC_BASE + 4, RET_ENC_BASE + 8 * 100):  # misaligned, out of range
+        _, out = _ret_with_word(image, word)
+        assert out.kind == F_RET
 
 
 # -- handler table -------------------------------------------------------------
