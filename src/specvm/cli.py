@@ -20,6 +20,7 @@ back to the SVM_SEED environment variable when neither gives it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -463,8 +464,14 @@ def build_parser() -> _Parser:
     return top
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser main uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:

@@ -30,26 +30,34 @@ truncates the allocation table only when the path allocated.
 A path opens with one lookup in the image's branch table (``ExecImage.br``)
 and its loop dispatches on the instruction kind (``ExecImage.kinds``): a
 plain instruction is one handler call and one test of its outcome, FENCE
-retires the path before the window is charged, and only the control kinds
-look up the block entered, at the new pc, and move the block and call
-accounting.  The run loop dispatches the same way.  What every path reads
-of the image and the configuration is bound once per engine, in one
-tuple.
+retires the path before the window is charged, a BR takes its successor
+and the entered block's length from the branch table, and only the other
+control kinds look up the block entered, at the new pc, and move the
+block and call accounting.  The run loop dispatches the same way.  What
+every path reads of the image and the configuration is bound once per
+engine, in one tuple.
 
-An engine does not start each run from a fresh Machine.  When it is built
-it runs its program once, with no input, up to the first instruction that
-could depend on the input or open a tree: before the first BR (with
-simulation on, a BR opens a tree, whose records carry the input id and
-whose order may bump BranchStats; with it off, the prefix stops there as
-well, so that one rule serves both), INPUT or INPUTLEN (the only readers
-of the input), or the step limit.  A HALT or a fault in that prefix ends
-it before the instruction, which handlers leave in place, so every run
-executes it itself.  Every run then starts from a fork of the resulting
-machine, with the prefix's step count and edges.  This is sound because
-no instruction in the prefix reads the input, opens a tree or consults
-the statistics: each run would have computed exactly that state first,
-architecturally, and the fork gives each run its own copy of everything
-it can change.
+Runs do not start from a fresh Machine.  The program is run once, with no
+input, up to the first instruction that could depend on the input or open
+a tree: before the first BR (with simulation on, a BR opens a tree, whose
+records carry the input id and whose order may bump BranchStats; with it
+off, the prefix stops there as well, so that one rule serves both), INPUT
+or INPUTLEN (the only readers of the input), or the step limit.  A HALT
+or a fault in that prefix ends it before the instruction, which handlers
+leave in place, so every run executes it itself.  Every run then starts
+from a fork of the resulting machine, with the prefix's step count and
+edges.  This is sound because no instruction in the prefix reads the
+input, opens a tree or consults the statistics: each run would have
+computed exactly that state first, architecturally, and the fork gives
+each run its own copy of everything it can change.
+
+That start state depends only on the image and the step limit, so it is
+computed once per image and limit, by the first engine built with them,
+and kept in ``ExecImage.start_states``.  Every later engine on the image,
+for a fuzz session or shard, a ``run_with_exposure`` call or an input of
+``verify_hardening``, forks the same machine.  The kept machine holds no
+image, so the cache closes no reference cycle; each run's fork attaches
+the engine's image.
 
 How deep a tree may nest is rationed out by ``allowed_order``: the n-th
 distinct input to reach a branch may nest up to 1 + max{j : n mod base^j
@@ -187,11 +195,13 @@ class RunTrace:
 class ExposureEngine:
     """Drives one Machine with simulation trees at conditional branches.
 
-    The start state of every run is computed once, here: ``start`` is the
-    machine after the program's input-independent prefix (see the module
-    docstring), ``start_steps`` the instructions that prefix executed,
-    ``start_edges`` the edges it took and ``start_block`` the block it ended
-    in.  ``run`` forks ``start`` for its input and continues from there.
+    The start state of every run is computed once per image and step
+    limit, by the first engine built with them, and shared by the rest (see
+    the module docstring): ``start`` is the machine after the program's
+    input-independent prefix, with no image, ``start_steps`` the
+    instructions that prefix executed, ``start_edges`` the edges it took
+    and ``start_block`` the block it ended in.  ``run`` forks ``start`` for
+    its input, attaches the image and continues from there.
     """
 
     def __init__(self, program: Program | ExecImage,
@@ -203,7 +213,11 @@ class ExposureEngine:
         self._tree = (image.handlers, image.kinds, image.br, image.block_of,
                       image.block_lens, image.iid_str, self.cfg.window,
                       self.cfg.stride)
-        self._run_prefix()
+        max_steps = self.cfg.max_steps
+        start = image.start_states.get(max_steps)
+        if start is None:
+            start = image.start_states[max_steps] = _start_state(image, max_steps)
+        self.start, self.start_steps, self.start_edges, self.start_block = start
         # Per-run state, reset in run()
         self.m: Machine | None = None
         self.ctx: SpecContext | None = None
@@ -312,8 +326,16 @@ class ExposureEngine:
                     reason = RETIRE_HALT if out == OUT_HALT else RETIRE_FAULT
                     break
                 continue
-            if kind == K_BR and depth < order:
-                self._spec_run(depth + 1, order, pc, counter, acct[:])
+            if kind == K_BR:
+                if depth < order:
+                    self._spec_run(depth + 1, order, pc, counter, acct[:])
+                cond, t_pc, t_blk, f_pc, f_blk = br[pc]
+                if cond(m.fa, m.fb):
+                    m.pc, remaining = t_pc, block_lens[t_blk]
+                else:
+                    m.pc, remaining = f_pc, block_lens[f_blk]
+                budget = 0
+                continue
             out = handlers[pc](m, ctx)
             if out:
                 reason = RETIRE_HALT if out == OUT_HALT else RETIRE_FAULT
@@ -335,44 +357,12 @@ class ExposureEngine:
 
     # -- the exposed run ------------------------------------------------------
 
-    def _run_prefix(self) -> None:
-        """Run the program from a fresh Machine with no input up to the
-        first BR, INPUT or INPUTLEN, HALT, fault or the step limit, and keep
-        the result as the start state of every run."""
-        image = self.image
-        code = image.code
-        kinds = image.kinds
-        handlers = image.handlers
-        block_of = image.block_of
-        m = Machine(image, b"")
-        edges: set[tuple[int, int]] = set()
-        cur_block = image.entry_block
-        steps = 0
-        while steps < self.cfg.max_steps:
-            pc = m.pc
-            kind = kinds[pc]
-            if kind == K_BR or code[pc][0] in _READS_INPUT:
-                break
-            if handlers[pc](m, None):
-                # HALT and faults leave pc and the rest of the state in
-                # place, so each run executes this instruction again.
-                break
-            steps += 1
-            if kind >= K_RET:
-                block = block_of[m.pc]
-                if kind != K_RET:
-                    edges.add((cur_block, block))
-                cur_block = block
-        self.start = m
-        self.start_steps = steps
-        self.start_edges = frozenset(edges)
-        self.start_block = cur_block
-
     def run(self, input_bytes: bytes, stats: BranchStats | None = None,
             input_id: str | None = None, run_serial: int = 0) -> RunTrace:
         cfg = self.cfg
         image = self.image
         m = self.m = self.start.fork(input_bytes)
+        m.image = image
         ctx = self.ctx = SpecContext(input_id=input_id, run_serial=run_serial)
         self.checkpoints = []
         self.spec_steps = 0
@@ -417,6 +407,38 @@ class ExposureEngine:
             cur_block = block
         return RunTrace(_result(m, steps, out), ctx.records, edges, order_of,
                         steps, self.spec_steps, self.retired)
+
+
+def _start_state(image: ExecImage, max_steps: int) -> tuple:
+    """Run the image from a fresh Machine with no input up to the first BR,
+    INPUT or INPUTLEN, HALT, fault or max_steps, and return the start state
+    of every run: (machine, steps, edges, block).  The machine is detached
+    from the image, which keeps it, and each run's fork attaches its own."""
+    code = image.code
+    kinds = image.kinds
+    handlers = image.handlers
+    block_of = image.block_of
+    m = Machine(image, b"")
+    edges: set[tuple[int, int]] = set()
+    cur_block = image.entry_block
+    steps = 0
+    while steps < max_steps:
+        pc = m.pc
+        kind = kinds[pc]
+        if kind == K_BR or code[pc][0] in _READS_INPUT:
+            break
+        if handlers[pc](m, None):
+            # HALT and faults leave pc and the rest of the state in
+            # place, so each run executes this instruction again.
+            break
+        steps += 1
+        if kind >= K_RET:
+            block = block_of[m.pc]
+            if kind != K_RET:
+                edges.add((cur_block, block))
+            cur_block = block
+    m.image = None
+    return m, steps, frozenset(edges), cur_block
 
 
 def run_with_exposure(program: Program | ExecImage, input_bytes: bytes = b"",

@@ -263,6 +263,7 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _ESCAPES = {"n": b"\n", "t": b"\t", "r": b"\r", "0": b"\x00", "\\": b"\\", '"': b'"'}
 
 
@@ -289,10 +290,11 @@ def _parse_data_literal(text: str, lineno: int, diags: list[Diagnostic]) -> byte
                 if i + 3 >= len(body):
                     diags.append(Diagnostic(lineno, "truncated \\x escape in data string"))
                     break
-                try:
-                    out.append(int(body[i + 2 : i + 4], 16))
-                except ValueError:
-                    diags.append(Diagnostic(lineno, f"bad hex escape \\x{body[i + 2:i + 4]}"))
+                digits = body[i + 2 : i + 4]
+                if all(d in _HEX_DIGITS for d in digits):
+                    out.append(int(digits, 16))
+                else:
+                    diags.append(Diagnostic(lineno, f"bad hex escape \\x{digits}"))
                 i += 4
                 continue
             if nxt in _ESCAPES:
@@ -313,6 +315,12 @@ def _is_name(tok: str) -> bool:
     if not (tok[0].isalpha() or tok[0] == "_"):
         return False
     return all(c.isalnum() or c in "_." for c in tok[1:])
+
+
+def _placeholder(lineno: int) -> str:
+    """The name given to a diagnosed fn or label line: not a name
+    ``_is_name`` accepts, so no source text can define or reach it."""
+    return f"<line {lineno}>"
 
 
 def _operand(kind: str, tok: str):
@@ -362,10 +370,12 @@ def parse_program(text: str) -> Program:
             name = line[3:-1].strip()
             if not _is_name(name):
                 diags.append(Diagnostic(lineno, f"bad function name '{name}'"))
-                name = f"__bad{lineno}"
+                name = _placeholder(lineno)
                 bad_fns.add(name)
             if name in prog.functions:
                 diags.append(Diagnostic(lineno, f"duplicate function '{name}'"))
+                name = _placeholder(lineno)  # the first body keeps the name
+                bad_fns.add(name)
             cur_block = None
             prog.functions[name] = []
             fn_lines[name] = lineno
@@ -386,10 +396,10 @@ def parse_program(text: str) -> Program:
                 continue
             if not _is_name(label):
                 diags.append(Diagnostic(lineno, f"bad label name '{label}'"))
-                label = f"__bad{lineno}"
+                label = _placeholder(lineno)
             if any(b.label == label for b in prog.functions[cur_fn]):
                 diags.append(Diagnostic(lineno, f"duplicate label '{label}' in fn {cur_fn}"))
-                label = f"__bad{lineno}"  # diagnosed once, here
+                label = _placeholder(lineno)  # diagnosed once, here
             cur_block = BasicBlock(label)
             prog.functions[cur_fn].append(cur_block)
             block_lines[(cur_fn, label)] = lineno

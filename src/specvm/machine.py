@@ -25,7 +25,11 @@ SpecContext passed to Machine.step decides (see detect.py).
 Heap allocations are made in bump order at strictly increasing bases,
 never freed, and a rollback only truncates the newest ones.  The list of
 bases is therefore always sorted, and access classification finds the
-allocations around an address by bisection instead of a scan.
+allocations around an address by bisection instead of a scan.  The LOAD
+and STORE handlers settle the common case themselves: an access that lies
+wholly inside a live allocation takes one bisection of ``alloc.bases`` and
+a bounds test against its predecessor, then one raw_read8 or raw_write8.
+Every other address goes through ``_classify``.
 
 The interpreter is threaded code.  ExecImage builds one handler per
 instruction at decode time (``_make_handler``), a closure specialised to
@@ -45,7 +49,8 @@ that instruction's operands, and ``Machine.step`` only calls
 ExecImage also classifies each instruction by kind (``kinds``) and keeps a
 branch table (``br``).  The stepping loops of the exposure engine dispatch
 on the kind and look up the entered block only after the control kinds,
-BR, CALL and JMP/JTAB, that enter one.
+BR, CALL and JMP/JTAB, that enter one; a speculative path takes a BR's
+successor and block from the branch table without calling its handler.
 
 A Machine holds only architectural state: the image, the input, registers,
 flags, pc, sp, memory pages and the allocation table.  Whether a run
@@ -251,14 +256,19 @@ class ExecImage:
     br[i] is (condition, taken pc, taken block, fall pc, fall block) when
     code[i] is a BR and None otherwise; the condition is a function of the
     flags (fa, fb).  It is the one source of branch semantics: the BR
-    handler, force_branch and the exposure engine's path opening all read
+    handler, force_branch and the exposure engine's path loop all read
     it.
+
+    start_states maps a step limit to the exposure engine's start state for
+    that limit, filled by the first engine built on the image with it (see
+    the engine module).  Its machines hold no image, so the cache closes no
+    reference cycle.
     """
 
     __slots__ = (
         "program", "code", "iid_of", "iid_str", "blocks", "block_of",
         "block_starts", "block_lens", "kinds", "br", "handlers",
-        "fn_entry", "entry_block",
+        "fn_entry", "entry_block", "start_states", "__weakref__",
     )
 
     def __init__(self, program: Program):
@@ -295,6 +305,7 @@ class ExecImage:
         self.handlers: list = [_make_handler(self, pc) for pc in range(len(self.code))]
 
         self.entry_block = self.fn_entry[program.entry]
+        self.start_states: dict[int, tuple] = {}
 
     def _decode(self, fn: str, ins, block_index) -> tuple:
         slots: list = []
@@ -549,6 +560,16 @@ def _make_handler(image: ExecImage, pc: int):
             def load(m, ctx):
                 regs = m.regs
                 ea = (regs[b] + c) & WORD_MASK
+                # In bounds of a live allocation: only the predecessor
+                # can hold the access (see Machine._classify).
+                alloc = m.alloc
+                i = bisect_right(alloc.bases, ea)
+                if i:
+                    base, size = alloc.recs[i - 1]
+                    if ea + 8 <= base + size:
+                        regs[a] = m.raw_read8(ea)
+                        m.pc = nxt
+                        return OUT_OK
                 kind, ref, off = m._classify(ea, 8)
                 if kind <= A_SCRATCH:
                     regs[a] = m.raw_read8(ea)
@@ -564,6 +585,14 @@ def _make_handler(image: ExecImage, pc: int):
         def store(m, ctx):
             regs = m.regs
             ea = (regs[b] + c) & WORD_MASK
+            alloc = m.alloc
+            i = bisect_right(alloc.bases, ea)
+            if i:
+                base, size = alloc.recs[i - 1]
+                if ea + 8 <= base + size:
+                    m.raw_write8(ea, regs[a], ctx.wlog if ctx is not None else None)
+                    m.pc = nxt
+                    return OUT_OK
             kind, ref, off = m._classify(ea, 8)
             if kind <= A_SCRATCH:
                 m.raw_write8(ea, regs[a], ctx.wlog if ctx is not None else None)

@@ -199,6 +199,10 @@ DIAGNOSTICS = [
     ("truncated-escape", 'data "\\x4"\nfn main:\ne:\n  halt\n',
      [(1, "truncated \\x escape in data string")]),
     ("hex-escape", 'data "\\xzz"\nfn main:\ne:\n  halt\n', [(1, "bad hex escape \\xzz")]),
+    # Exactly two hex digits: no sign, no space.
+    ("hex-escape-sign", 'data "\\x+1\\x 2\\x-1"\nfn main:\ne:\n  halt\n',
+     [(1, "bad hex escape \\x+1"), (1, "bad hex escape \\x 2"),
+      (1, "bad hex escape \\x-1")]),
     ("unknown-escape", 'data "\\q"\nfn main:\ne:\n  halt\n', [(1, "unknown escape \\q")]),
     ("unquoted-data", "data abc\nfn main:\ne:\n  halt\n",
      [(1, "data directive expects a quoted string")]),
@@ -208,6 +212,18 @@ DIAGNOSTICS = [
     ("fn-name-no-blocks", "fn 1x:\nfn main:\ne:\n  halt\n", [(1, "bad function name '1x'")]),
     ("duplicate-fn", "fn main:\ne:\n  halt\nfn main:\ne:\n  halt\n",
      [(4, "duplicate function 'main'")]),
+    # The duplicate does not replace the first body: both are checked.
+    ("duplicate-fn-first-body", "fn main:\ne:\n  jmp nowhere\nfn main:\ne:\n  halt\n",
+     [(3, "unresolved label 'nowhere'"), (4, "duplicate function 'main'")]),
+    ("duplicate-fn-second-body", "fn main:\ne:\n  halt\nfn main:\ne:\n  jmp nowhere\n",
+     [(4, "duplicate function 'main'"), (6, "unresolved label 'nowhere'")]),
+    ("duplicate-fn-no-blocks", "fn main:\ne:\n  halt\nfn main:\n",
+     [(4, "duplicate function 'main'")]),
+    # A placeholder is no name a source can write, so it meets no user's.
+    ("duplicate-fn-placeholder-like", "fn __bad4:\ne:\n  jmp nowhere\nfn __bad4:\ne:\n  halt\n",
+     [(3, "unresolved label 'nowhere'"), (4, "duplicate function '__bad4'")]),
+    ("bad-fn-then-placeholder-like", "fn 1x:\nfn __bad1:\ne:\n  halt\n",
+     [(1, "bad function name '1x'")]),
     ("block-name", "fn main:\n1x:\n  halt\n", [(2, "bad label name '1x'")]),
     ("label-outside-fn", "x:\nfn main:\ne:\n  halt\n", [(1, "label 'x' outside any function")]),
     ("outside-block", "halt\nfn main:\ne:\n  halt\n",

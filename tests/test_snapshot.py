@@ -1,15 +1,20 @@
-"""Exposed runs from the engine's prefix snapshot against the reference run.
+"""Exposed runs from the prefix snapshot against the reference run.
 
-An ExposureEngine runs its program's input-independent prefix once and
-forks every run from the machine it leaves (see the engine module
-docstring).  Here one long-lived engine runs a sequence of inputs, and
-every RunTrace must equal what refrun.reference_run, which starts each run
-from a fresh Machine, produces for the same input and branch statistics.
-The start state itself is checked against a fresh machine stepped by the
-reference stepper, and Machine.fork against the machine it copies.
+The first ExposureEngine built on an image runs the program's
+input-independent prefix and keeps the machine it leaves in the image;
+every engine on that image with the same step limit forks every run from
+it (see the engine module docstring).  Here one long-lived engine and a
+new engine per input run a sequence of inputs, and every RunTrace must
+equal what refrun.reference_run, which starts each run from a fresh
+Machine, produces for the same input and branch statistics.  The start
+state itself is checked against a fresh machine stepped by the reference
+stepper, Machine.fork against the machine it copies, and the cache for
+what it shares, what it keys by and the reference cycle it must not make.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -41,19 +46,24 @@ def _trace_fields(t) -> tuple:
 
 
 def check_runs(program, inputs, config=None) -> None:
-    """Run inputs in order through one engine and through the reference,
-    each side with its own BranchStats fed the same history, and compare
-    every trace."""
+    """Run inputs in order through one engine, through a new engine on the
+    same image for each input, which forks the start state the first one
+    computed, and through the reference, each side with its own
+    BranchStats fed the same history, and compare every trace."""
     image = ExecImage(program)
     engine = ExposureEngine(image, config)
     ref = ExposureEngine(image, config)
-    stats, ref_stats = BranchStats(), BranchStats()
+    stats, later_stats, ref_stats = BranchStats(), BranchStats(), BranchStats()
     for serial, data in enumerate(inputs):
         iid = f"in{serial}"
         got = engine.run(data, stats, input_id=iid, run_serial=serial)
+        later = ExposureEngine(image, config)
+        assert later.start is engine.start
+        got_later = later.run(data, later_stats, input_id=iid, run_serial=serial)
         want = reference_run(ref, data, ref_stats, input_id=iid, run_serial=serial)
         assert _trace_fields(got) == _trace_fields(want), (serial, data)
-    assert stats.to_dict() == ref_stats.to_dict()
+        assert _trace_fields(got_later) == _trace_fields(want), (serial, data)
+    assert stats.to_dict() == later_stats.to_dict() == ref_stats.to_dict()
 
 
 def heap_walk_source(allocs: int = 40, steps: int = 4, size: int = 24) -> str:
@@ -315,3 +325,43 @@ def test_fork_copies_everything_a_run_changes():
     f.alloc.alloc(64)
     alloc_restore(f.alloc, (f.alloc.bump, 1))
     assert _machine_state(m) == before
+
+
+def test_engines_share_the_start_state_of_their_step_limit():
+    """One start state per image and step limit: engines that differ only
+    in other settings share it, and an engine with another limit runs its
+    own prefix, also when a longer one is already cached."""
+    image = ExecImage(parse_program(heap_walk_source()))
+    first = ExposureEngine(image)
+    assert first.start_steps == 81
+    for config in (None, SpecConfig(max_order=2), SpecConfig(simulate=False),
+                   SpecConfig(window=7, stride=3)):
+        assert ExposureEngine(image, config).start is first.start
+    short = ExposureEngine(image, SpecConfig(max_steps=40))
+    assert short.start is not first.start
+    assert short.start_steps == 40
+    assert ExposureEngine(image, SpecConfig(max_steps=40)).start is short.start
+    assert set(image.start_states) == {first.cfg.max_steps, 40}
+    # The short engine stops at its own limit.
+    data = b"\x01\x02\x03"
+    assert short.run(data).arch_steps == 40
+    ref = ExposureEngine(image, SpecConfig(max_steps=40))
+    assert (_trace_fields(short.run(data))
+            == _trace_fields(reference_run(ref, data)))
+    assert (_trace_fields(first.run(data))
+            == _trace_fields(reference_run(ExposureEngine(image), data)))
+
+
+def test_an_image_with_a_cached_start_state_is_freed_by_reference_counting():
+    gc.collect()
+    gc.disable()
+    try:
+        image = ExecImage(parse_program(PREFIX_STATE))
+        engine = ExposureEngine(image)
+        trace = engine.run(b"\x01")
+        assert image.start_states and engine.start.image is None
+        alive = weakref.ref(image)
+        del image, engine, trace
+        assert alive() is None
+    finally:
+        gc.enable()

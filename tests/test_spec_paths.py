@@ -52,6 +52,26 @@ def check_paths(program, inputs, config=None, scheduled=True) -> dict:
     return retired
 
 
+NESTED_FENCE_FIRST = """fn main:
+e:
+  alloc r9, 16
+  input r2, 0
+  cmp r2, 2
+  br lt, a, b
+a:
+  cmp r2, 5
+  br lt, fen, leak
+b:
+  cmp r2, 0
+  br eq, leak, fen
+fen:
+  fence
+  halt
+leak:
+  load r4, r9, 24
+  halt
+"""
+
 # (name, source, config, retire reasons the reference must show): the
 # corners of the path loop that neither the victims nor the random
 # programs are sure to reach.
@@ -63,6 +83,12 @@ CORNERS = [
      "a:\n  br ne, c, d\nb:\n  br ne, d, c\n"
      "c:\n  fence\n  halt\nd:\n  fence\n  halt\n",
      SpecConfig(window=1, stride=1, max_order=2), {"fence"}),
+    # Nested paths whose mispredicted successor starts with FENCE, while
+    # the correct one leaks (input 5 at a, 0 at b), and the other way
+    # round (inputs 2, 3 at a, 1 at b; and every root path), so a test of
+    # the wrong successor drops or keeps a path that leaks.
+    ("nested-fence-first", NESTED_FENCE_FIRST, SpecConfig(max_order=2),
+     {"fence", "halt"}),
     # Paths around a loop run out of a small window charged in chunks.
     ("window-loop",
      "fn main:\ne:\n  alloc r9, 16\n  input r1, 0\n  cmp r1, 3\n"

@@ -11,7 +11,9 @@ does, so the access and fault policy hooks and the write log are compared
 too: the log's length and last entry after every step, the whole log at
 the end.  The kind and branch tables that the exposure engine's loops
 dispatch on are checked against the decoded code and against what each
-step does.
+step does.  Corner programs take the LOAD and STORE handlers' in-bounds
+heap fast path to each edge of an allocation, and one test drops an
+allocation as a rollback does before accessing it.
 """
 
 import random
@@ -19,12 +21,14 @@ import random
 import pytest
 
 from genprog import random_input, random_program
+from refspec import alloc_restore, alloc_snapshot
 from refstep import _cc_eval, reference_step
 from specvm.detect import SpecContext
 from specvm.gadgets import builtin_gadget, gadget_ids
 from specvm.harden import fence_pass, slh_pass
 from specvm.isa import Op, parse_program
 from specvm.machine import (
+    F_OOB,
     K_BR,
     K_CALL,
     K_FENCE,
@@ -111,22 +115,32 @@ def lockstep(image: ExecImage, data: bytes, speculative: bool, seed: int = 0,
             assert _state(fast, fast_ctx) == _state(ref, ref_ctx), (step, pc)
             assert image.block_of[fast.pc] == target, (step, pc)
             continue
-        out = fast.step(fast_ctx)
-        want, entered = reference_step(ref, ref_ctx)
-        assert out == want, (step, pc)
-        assert _state(fast, fast_ctx) == _state(ref, ref_ctx), (step, pc)
-        assert (entered >= 0) == (image.kinds[pc] >= K_BR and out == OUT_OK), \
-            (step, pc)
-        if entered >= 0:
-            assert fast.pc == image.blocks[entered][0], (step, pc)
-            assert image.block_of[fast.pc] == entered, (step, pc)
-        if out != OUT_OK:
-            assert fast.pc == pc, (step, pc)
+        if step_alike(image, fast, ref, fast_ctx, ref_ctx, step) != OUT_OK:
             break
     assert fast.canonical_memory() == ref.canonical_memory()
     if speculative:
         assert fast_ctx.wlog == ref_ctx.wlog
     return step + 1
+
+
+def step_alike(image: ExecImage, fast: Machine, ref: Machine,
+               fast_ctx: SpecContext | None, ref_ctx: SpecContext | None,
+               step: int):
+    """Step fast through its handler and ref through the reference stepper,
+    compare them and return the outcome."""
+    pc = ref.pc
+    out = fast.step(fast_ctx)
+    want, entered = reference_step(ref, ref_ctx)
+    assert out == want, (step, pc)
+    assert _state(fast, fast_ctx) == _state(ref, ref_ctx), (step, pc)
+    assert (entered >= 0) == (image.kinds[pc] >= K_BR and out == OUT_OK), \
+        (step, pc)
+    if entered >= 0:
+        assert fast.pc == image.blocks[entered][0], (step, pc)
+        assert image.block_of[fast.pc] == entered, (step, pc)
+    if out != OUT_OK:
+        assert fast.pc == pc, (step, pc)
+    return out
 
 
 # Faults and slow paths that neither the victims nor the random programs
@@ -154,6 +168,24 @@ CORNERS = [
     # An 8-byte store and load across a page boundary inside the stack.
     ("fn main:\ne:\n  const r1, 0x20ffc\n  const r2, 0x1122334455667788\n"
      "  store r2, r1, 0\n  load r3, r1, 0\n  halt\n", None),
+    # The heap fast path: accesses that end exactly at the end of an
+    # allocation, the last one and an earlier one, are in bounds ...
+    ("fn main:\ne:\n  alloc r1, 24\n  alloc r4, 40\n  const r2, 0x0102030405060708\n"
+     "  store r2, r1, 16\n  load r3, r1, 16\n  store r2, r4, 32\n"
+     "  load r5, r4, 32\n  load r6, r1, 0\n  halt\n", None),
+    # ... and ones that end one byte past it are not, below the next
+    # allocation and after the last one.
+    ("fn main:\ne:\n  alloc r1, 24\n  alloc r4, 24\n  const r2, 0x0102030405060708\n"
+     "  store r2, r1, 17\n  load r3, r1, 17\n  load r5, r4, 17\n  halt\n", None),
+    ("fn main:\ne:\n  alloc r1, 24\n  alloc r4, 24\n  load r5, r4, 17\n  halt\n",
+     None),
+    # In the gap between two allocations, wholly and reaching into the next.
+    ("fn main:\ne:\n  alloc r1, 200\n  alloc r4, 8\n  const r2, 9\n"
+     "  store r2, r1, 208\n  load r3, r1, 208\n  load r5, r1, 220\n  halt\n",
+     None),
+    # Below the first allocation, wholly and straddling its base.
+    ("fn main:\ne:\n  alloc r1, 24\n  const r5, 0xffff8\n  load r3, r5, 0\n"
+     "  store r3, r5, 4\n  load r6, r5, 4\n  halt\n", None),
 ]
 
 
@@ -193,3 +225,25 @@ def test_random_programs_step_alike(loops, recursion, speculative):
     for seed in range(60):
         image = ExecImage(random_program(seed, loops, recursion))
         lockstep(image, random_input(seed), speculative, seed)
+
+
+def test_access_into_an_allocation_a_rollback_removed():
+    """Once a rollback drops an allocation, an access inside its old bounds
+    is no longer in bounds: the heap fast path must read the live table."""
+    src = ("fn main:\ne:\n  alloc r1, 24\n  alloc r2, 24\n  const r3, 7\n"
+           "  store r3, r2, 0\n  load r4, r2, 0\n  halt\n")
+    image = ExecImage(parse_program(src))
+    for speculative in (False, True):
+        fast, ref = Machine(image, b""), Machine(image, b"")
+        fast_ctx = SpecContext(input_id="x") if speculative else None
+        ref_ctx = SpecContext(input_id="x") if speculative else None
+        assert step_alike(image, fast, ref, fast_ctx, ref_ctx, 0) == OUT_OK
+        snaps = alloc_snapshot(fast.alloc), alloc_snapshot(ref.alloc)
+        for step in range(1, 4):  # the second allocation, written in bounds
+            assert step_alike(image, fast, ref, fast_ctx, ref_ctx, step) == OUT_OK
+        alloc_restore(fast.alloc, snaps[0])
+        alloc_restore(ref.alloc, snaps[1])
+        out = step_alike(image, fast, ref, fast_ctx, ref_ctx, 4)
+        assert out.kind == F_OOB
+        if speculative:
+            assert [r.detail for r in fast_ctx.records] == ["unmapped"]
