@@ -329,6 +329,8 @@ def _cmd_oracle(args) -> int:
             stride=spec.stride, identity=args.identity, script_limit=args.limit)
     except OracleError as e:
         raise CliError(str(e))
+    except ValueError as e:  # the one bound _spec_config does not check
+        raise CliError(f"bad --limit {args.limit}: {e}")
     summary = (f"{len(outcome.scripts)} speculative paths, "
                f"{len(outcome.keys)} distinct violations")
     _report(args, outcome.records, args.identity, summary,

@@ -7,7 +7,7 @@ deduplicate, and replay: the offending instruction, the address, the
 nearest live allocation (the referent), and the stack of mispredicted
 branches that were active when the access fired.
 
-Speculative policy, applied by the SpecContext that Machine.step is given
+Speculative policy, applied by the SpecContext that the handlers are given
 during speculation:
 
 ===============  ===========================================
@@ -84,8 +84,9 @@ class ViolationRecord:
         """Rebuild a record from to_wire() output.  Raises ValueError when a
         required field is missing or malformed, a field has the wrong type,
         or a value is one no run records: an address outside 0..2**64-1,
-        an order other than the number of branches, an unknown kind or a
-        negative run."""
+        an order other than the number of branches, an unknown kind, a
+        negative run, or an offset other than addr - referent base (a
+        record without a referent has no offset)."""
         if not isinstance(d, dict):
             raise ValueError(f"record is not a JSON object: {d!r}")
         try:
@@ -136,6 +137,10 @@ class ViolationRecord:
             raise ValueError(f"bad record value: unknown kind {rec.kind!r}")
         elif rec.run < 0:
             raise ValueError(f"bad record value: run {rec.run} is negative")
+        elif rec.offset != (None if referent is None else rec.addr - referent[1]):
+            raise ValueError(f"bad record value: offset {rec.offset} " + (
+                "without a referent" if referent is None
+                else f"is not addr - referent base, {rec.addr - referent[1]}"))
         else:
             return rec
         raise ValueError(f"malformed record field: {bad} has the wrong type")
@@ -148,8 +153,8 @@ def dedup_key(v: ViolationRecord, mode: str = DEFAULT_IDENTITY) -> tuple:
 
 
 class SpecContext:
-    """Mutable per-run state handed to Machine.step during speculation,
-    and the policy step applies to out-of-bounds accesses and faults.
+    """Mutable per-run state handed to the handlers during speculation,
+    and the policy they apply to out-of-bounds accesses and faults.
     One is built per exposed run, so it is a plain slotted class."""
 
     __slots__ = ("records", "branches", "wlog", "input_id", "run_serial")

@@ -55,9 +55,8 @@ That start state depends only on the image and the step limit, so it is
 computed once per image and limit, by the first engine built with them,
 and kept in ``ExecImage.start_states``.  Every later engine on the image,
 for a fuzz session or shard, a ``run_with_exposure`` call or an input of
-``verify_hardening``, forks the same machine.  The kept machine holds no
-image, so the cache closes no reference cycle; each run's fork attaches
-the engine's image.
+``verify_hardening``, forks the same machine.  A machine holds no image,
+so the cache closes no reference cycle.
 
 How deep a tree may nest is rationed out by ``allowed_order``: the n-th
 distinct input to reach a branch may nest up to 1 + max{j : n mod base^j
@@ -198,10 +197,10 @@ class ExposureEngine:
     The start state of every run is computed once per image and step
     limit, by the first engine built with them, and shared by the rest (see
     the module docstring): ``start`` is the machine after the program's
-    input-independent prefix, with no image, ``start_steps`` the
-    instructions that prefix executed, ``start_edges`` the edges it took
-    and ``start_block`` the block it ended in.  ``run`` forks ``start`` for
-    its input, attaches the image and continues from there.
+    input-independent prefix, ``start_steps`` the instructions that prefix
+    executed, ``start_edges`` the edges it took and ``start_block`` the
+    block it ended in.  ``run`` forks ``start`` for its input and continues
+    from there.
     """
 
     def __init__(self, program: Program | ExecImage,
@@ -362,7 +361,6 @@ class ExposureEngine:
         cfg = self.cfg
         image = self.image
         m = self.m = self.start.fork(input_bytes)
-        m.image = image
         ctx = self.ctx = SpecContext(input_id=input_id, run_serial=run_serial)
         self.checkpoints = []
         self.spec_steps = 0
@@ -405,15 +403,14 @@ class ExposureEngine:
             if kind != K_RET:
                 edges.add((cur_block, block))
             cur_block = block
-        return RunTrace(_result(m, steps, out), ctx.records, edges, order_of,
+        return RunTrace(_result(image, m, steps, out), ctx.records, edges, order_of,
                         steps, self.spec_steps, self.retired)
 
 
 def _start_state(image: ExecImage, max_steps: int) -> tuple:
     """Run the image from a fresh Machine with no input up to the first BR,
     INPUT or INPUTLEN, HALT, fault or max_steps, and return the start state
-    of every run: (machine, steps, edges, block).  The machine is detached
-    from the image, which keeps it, and each run's fork attaches its own."""
+    of every run: (machine, steps, edges, block)."""
     code = image.code
     kinds = image.kinds
     handlers = image.handlers
@@ -437,17 +434,14 @@ def _start_state(image: ExecImage, max_steps: int) -> tuple:
             if kind != K_RET:
                 edges.add((cur_block, block))
             cur_block = block
-    m.image = None
     return m, steps, frozenset(edges), cur_block
 
 
 def run_with_exposure(program: Program | ExecImage, input_bytes: bytes = b"",
                       config: SpecConfig | None = None,
-                      stats: BranchStats | None = None,
-                      input_id: str | None = None, run_serial: int = 0) -> RunTrace:
+                      stats: BranchStats | None = None) -> RunTrace:
     """Run one input with speculation exposure and return its trace."""
-    return ExposureEngine(program, config).run(
-        input_bytes, stats, input_id, run_serial)
+    return ExposureEngine(program, config).run(input_bytes, stats)
 
 
 __all__ = [

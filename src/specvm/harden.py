@@ -7,8 +7,8 @@ conditional branch.
 Fence pass: each edge of a protected branch begins with FENCE, so any
 speculative path through the branch retires before doing work.  The
 instruction is prepended in place when the edge is the target block's only
-incoming edge (and the target is not a function entry); otherwise the edge
-is routed through a fresh two-instruction trampoline block.
+incoming edge, counting the call that enters a function's entry block;
+otherwise the edge is routed through a fresh two-instruction trampoline block.
 
 Masking pass: register r15 carries an all-ones poison mask, initialized
 once at program entry, and r14 is used as address scratch; programs that
@@ -80,10 +80,13 @@ def _reserved_register_used(program: Program) -> str | None:
 
 
 def _in_degree(blocks: list[BasicBlock]) -> Counter:
-    """label -> number of BR, JMP and JTAB edges that enter it: the label
-    operands of the blocks' terminators."""
-    return Counter(o.name for b in blocks for o in b.instrs[-1].ops
-                   if isinstance(o, Lab))
+    """label -> number of edges that enter it: the BR, JMP and JTAB edges
+    of the blocks' terminators, and for the entry block the one every call
+    into the function (or the start of the program) takes."""
+    degree = Counter(o.name for b in blocks for o in b.instrs[-1].ops
+                     if isinstance(o, Lab))
+    degree[blocks[0].label] += 1
+    return degree
 
 
 def _edge_payload(mode: str, cc: str) -> list[Instruction]:
@@ -134,7 +137,6 @@ def _instrument(program: Program, whitelist: set[str], mode: str) -> HardenResul
     }
 
     for fn, blocks in program.functions.items():
-        entry_label = blocks[0].label
         in_degree = _in_degree(blocks)
         labels_used = {b.label for b in blocks}
 
@@ -163,7 +165,7 @@ def _instrument(program: Program, whitelist: set[str], mode: str) -> HardenResul
                 payload = _edge_payload(mode, edge_cc)
                 # This edge enters target, so it is the only one iff
                 # target's in-degree is 1.
-                if in_degree[target] == 1 and target != entry_label:
+                if in_degree[target] == 1:
                     prepends[target] = payload
                     summary["edges_in_place"] += 1
                 else:
@@ -177,12 +179,11 @@ def _instrument(program: Program, whitelist: set[str], mode: str) -> HardenResul
         rebuilt: list[BasicBlock] = []
         for b in blocks:
             out: list[Instruction] = []
-            if mode == SLH_MODE and fn == program.entry and b.label == entry_label:
+            if mode == SLH_MODE and fn == program.entry and b is blocks[0]:
                 out.append(Instruction(Op.CONST, (Reg(MASK_REG), Imm(_ALL_ONES))))
             out.extend(prepends.get(b.label, ()))
             for idx, ins in enumerate(b.instrs):
                 if mode == SLH_MODE and ins.op in (Op.LOAD, Op.STORE):
-                    new_idx = len(out) + 2  # the access is last in its triple
                     out.extend(_masked_access(ins))
                     key = "loads_masked" if ins.op is Op.LOAD else "stores_masked"
                     summary[key] += 1

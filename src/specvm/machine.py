@@ -20,7 +20,7 @@ constants below::
 Every LOAD/STORE is 8 bytes wide and classified before it completes:
 VALID / SCRATCH accesses proceed, anything else is an out-of-bounds
 access.  Architecturally that is a hard fault; under speculation the
-SpecContext passed to Machine.step decides (see detect.py).
+SpecContext passed to the handler decides (see detect.py).
 
 Heap allocations are made in bump order at strictly increasing bases,
 never freed, and a rollback only truncates the newest ones.  The list of
@@ -33,8 +33,9 @@ Every other address goes through ``_classify``.
 
 The interpreter is threaded code.  ExecImage builds one handler per
 instruction at decode time (``_make_handler``), a closure specialised to
-that instruction's operands, and ``Machine.step`` only calls
-``image.handlers[pc](machine, ctx)``.  Every handler keeps this contract:
+that instruction's operands, and stepping a machine is one call,
+``image.handlers[machine.pc](machine, ctx)``, made by the loop that runs
+it.  Every handler keeps this contract:
 
 * it returns OUT_OK, OUT_HALT or the Fault it raised;
 * a BR, JMP, JTAB or CALL that completes leaves ``pc`` at the start of the
@@ -52,14 +53,15 @@ on the kind and look up the entered block only after the control kinds,
 BR, CALL and JMP/JTAB, that enter one; a speculative path takes a BR's
 successor and block from the branch table without calling its handler.
 
-A Machine holds only architectural state: the image, the input, registers,
-flags, pc, sp, memory pages and the allocation table.  Whether a run
-halted or faulted is the outcome of its last step, which the run loops
-keep.  ``Machine.fork(input)`` is the one way to copy a machine: a new
-machine with the given input and its own copy of everything else but the
-image.  The exposure engine forks every run from the state its program
-reaches before input first matters; the oracle forks every script from its
-architectural pass at the script's root branch.
+A Machine holds only architectural state: the input, registers, flags,
+pc, sp, memory pages, the allocation table and the end of its static data.
+It holds no image: every loop that steps a machine holds the image whose
+code it runs.  Whether a run halted or faulted is the outcome of its last
+step, which the run loops keep.  ``Machine.fork(input)`` is the one way to
+copy a machine: a new machine with the given input and its own copy of
+everything else.  The exposure engine forks every run from the state its
+program reaches before input first matters; the oracle forks every script
+from its architectural pass at the script's root branch.
 
 The plain reference stepper that the handlers are tested against lives
 with the tests.
@@ -246,8 +248,7 @@ class ExecImage:
     OUT_OK, OUT_HALT or a Fault, built once here with its operands,
     immediate or register form, target pcs, return word and id text bound
     in, so stepping is one indexed call with no dispatch on the opcode.
-    Machine.step is exactly that call; the contract each handler keeps is
-    in the module docstring.
+    The contract each handler keeps is in the module docstring.
 
     kinds[i] is the kind of code[i] (K_*, see KIND_OF_OP).  The stepping
     loops dispatch on it: only after a control kind that completed do they
@@ -256,12 +257,11 @@ class ExecImage:
     br[i] is (condition, taken pc, taken block, fall pc, fall block) when
     code[i] is a BR and None otherwise; the condition is a function of the
     flags (fa, fb).  It is the one source of branch semantics: the BR
-    handler, force_branch and the exposure engine's path loop all read
-    it.
+    handler, the oracle and the exposure engine's path loop all read it.
 
     start_states maps a step limit to the exposure engine's start state for
     that limit, filled by the first engine built on the image with it (see
-    the engine module).  Its machines hold no image, so the cache closes no
+    the engine module).  A machine holds no image, so the cache closes no
     reference cycle.
     """
 
@@ -361,6 +361,8 @@ def _make_handler(image: ExecImage, pc: int):
     """
     op, a, b, c, f = image.code[pc]
     nxt = pc + 1
+    iid = image.iid_str[pc]
+    at = image.iid_of[pc]
     starts = image.block_starts
 
     if op == O_BR:
@@ -534,7 +536,7 @@ def _make_handler(image: ExecImage, pc: int):
     if op == O_DIV:
         if f and c == 0:
             def div_zero(m, ctx):
-                return m._fault(ctx, F_DIV, pc, 0)
+                return _fault(ctx, F_DIV, iid, at, 0)
             return div_zero
         if f:
             def div_imm(m, ctx):
@@ -548,14 +550,12 @@ def _make_handler(image: ExecImage, pc: int):
             regs = m.regs
             d = regs[c]
             if d == 0:
-                return m._fault(ctx, F_DIV, pc, 0)
+                return _fault(ctx, F_DIV, iid, at, 0)
             regs[a] = regs[b] // d
             m.pc = nxt
             return OUT_OK
         return div_reg
     if op == O_LOAD or op == O_STORE:
-        iid = image.iid_str[pc]
-        at = image.iid_of[pc]
         if op == O_LOAD:
             def load(m, ctx):
                 regs = m.regs
@@ -618,7 +618,7 @@ def _make_handler(image: ExecImage, pc: int):
         def jtab(m, ctx):
             idx = m.regs[a]
             if idx >= n_targets:
-                return m._fault(ctx, F_JTAB, pc, idx)
+                return _fault(ctx, F_JTAB, iid, at, idx)
             m.pc = targets[idx]
             return OUT_OK
         return jtab
@@ -626,7 +626,7 @@ def _make_handler(image: ExecImage, pc: int):
         def alloc(m, ctx):
             base = m.alloc.alloc(b if f else m.regs[b])
             if base is None:
-                return m._fault(ctx, F_HEAP, pc, 0)
+                return _fault(ctx, F_HEAP, iid, at, 0)
             m.regs[a] = base
             m.pc = nxt
             return OUT_OK
@@ -638,7 +638,7 @@ def _make_handler(image: ExecImage, pc: int):
         def call(m, ctx):
             new_sp = m.sp - 8
             if new_sp < STACK_LO:
-                return m._fault(ctx, F_STACK, pc, 0)
+                return _fault(ctx, F_STACK, iid, at, 0)
             m.raw_write8(new_sp, ret_word, ctx.wlog if ctx is not None else None)
             m.sp = new_sp
             m.pc = callee_pc
@@ -650,11 +650,11 @@ def _make_handler(image: ExecImage, pc: int):
         def ret(m, ctx):
             sp = m.sp
             if sp >= STACK_HI:
-                return m._fault(ctx, F_RET, pc, 0)
+                return _fault(ctx, F_RET, iid, at, 0)
             value = m.raw_read8(sp)
             target = _ret_target(value, n_code)
             if target is None:
-                return m._fault(ctx, F_RET, pc, value)
+                return _fault(ctx, F_RET, iid, at, value)
             m.sp = sp + 8
             m.pc = target
             return OUT_OK
@@ -684,19 +684,28 @@ def _make_handler(image: ExecImage, pc: int):
     raise AssertionError(f"undecoded op {op}")  # pragma: no cover
 
 
+def _fault(ctx, kind: str, iid: str, at: InstructionId, value: int) -> Fault:
+    """The non-access fault of instruction at (iid as text); under speculation
+    ctx also sees it, with the offending value of a corrupted transfer."""
+    if ctx is not None:
+        ctx.on_speculative_fault(iid, kind, value)
+    return Fault(kind, at)
+
+
 class Machine:
     """One VM instance: registers, flags, memory pages, allocator, stack.
 
-    Every machine has the address space of the module constants.  ``fork``
-    copies a machine for a new input.  The copy shares only what never
-    changes during a run, the image; registers, flags, pc, sp, every page
-    and the allocation table are its own.
+    Every machine has the address space of the module constants; its static
+    data ends at ``static_end``.  A machine starts at the entry of the image
+    it is built from and keeps no reference to it.  ``fork`` copies a
+    machine for a new input: registers, flags, pc, sp, every page and the
+    allocation table are the copy's own.
     """
 
-    __slots__ = ("image", "input", "regs", "fa", "fb", "pc", "sp", "pages", "alloc")
+    __slots__ = ("static_end", "input", "regs", "fa", "fb", "pc", "sp", "pages", "alloc")
 
     def __init__(self, image: ExecImage, input_bytes: bytes):
-        self.image = image
+        self.static_end = STATIC_BASE + len(image.program.data)
         self.input = input_bytes
         self.regs = [0] * 16
         self.fa = 0
@@ -712,7 +721,7 @@ class Machine:
         """A machine in this one's state that reads input_bytes, with
         independent copies of everything a run can change."""
         m = Machine.__new__(Machine)
-        m.image = self.image
+        m.static_end = self.static_end
         m.input = input_bytes
         m.regs = self.regs[:]
         m.fa = self.fa
@@ -806,7 +815,7 @@ class Machine:
                 if end <= STACK_HI:
                     return A_VALID, None, None
             elif addr >= STATIC_BASE:
-                if end <= STATIC_BASE + len(self.image.program.data):
+                if end <= self.static_end:
                     return A_VALID, None, None
             elif addr >= SCRATCH_BASE and end <= SCRATCH_BASE + SCRATCH_SIZE:
                 return A_SCRATCH, None, None
@@ -860,36 +869,6 @@ class Machine:
                     keep &= ~(((1 << (8 * (last - first))) - 1) << (8 * (first - addr)))
         return self.raw_read8(addr) & keep
 
-    # -- branch helper (the oracle's; the engine reads ExecImage.br itself) -
-
-    def force_branch(self, flat: int, invert: bool) -> int:
-        """Move pc to the BR's outcome (or its inverse); returns target block."""
-        cond, t_pc, tb, f_pc, fb = self.image.br[flat]
-        if cond(self.fa, self.fb) != invert:
-            self.pc = t_pc
-            return tb
-        self.pc = f_pc
-        return fb
-
-    # -- the step function --------------------------------------------------
-
-    def step(self, ctx=None) -> int | Fault:
-        """Execute one instruction.
-
-        ctx None: architectural semantics (OOB and decode failures fault).
-        ctx set: speculative semantics; access and fault policy are delegated
-        to ctx (a detect.SpecContext), memory writes are logged to ctx.wlog.
-        Returns OUT_OK, OUT_HALT, or the Fault the instruction raised.
-        """
-        return self.image.handlers[self.pc](self, ctx)
-
-    def _fault(self, ctx, kind: str, pc: int, value: int) -> Fault:
-        """The non-access fault at pc; under speculation ctx also sees it,
-        with the offending value for corrupted control transfers."""
-        if ctx is not None:
-            ctx.on_speculative_fault(self.image.iid_str[pc], kind, value)
-        return Fault(kind, self.image.iid_of[pc])
-
 
 @dataclass
 class RunResult:
@@ -923,11 +902,11 @@ class RunResult:
                 self.machine.alloc.bump)
 
 
-def _result(m: Machine, steps: int, out: int | Fault) -> RunResult:
-    """The result of a run that stopped after steps steps with outcome out:
-    OUT_HALT, the Fault that ended it, or OUT_OK when it reached its step
-    limit, which is reported as a step-limit fault at pc."""
-    pc_iid = m.image.iid_of[m.pc] if m.pc < len(m.image.code) else None
+def _result(image: ExecImage, m: Machine, steps: int, out: int | Fault) -> RunResult:
+    """The result of a run of image on m that stopped after steps steps
+    with outcome out: OUT_HALT, the Fault that ended it, or OUT_OK when it
+    reached its step limit, which is reported as a step-limit fault at pc."""
+    pc_iid = image.iid_of[m.pc] if m.pc < len(image.code) else None
     if out == OUT_OK:
         out = Fault(F_STEP, pc_iid)
     return RunResult(tuple(m.regs), (m.fa, m.fb), pc_iid, m.sp, out == OUT_HALT,
@@ -951,7 +930,7 @@ def run_architectural(
         steps += 1
         if out:
             break
-    return _result(m, steps, out)
+    return _result(image, m, steps, out)
 
 
 __all__ = [

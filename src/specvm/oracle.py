@@ -1,10 +1,11 @@
 """Exhaustive ground truth for speculation exposure.
 
 This module deliberately shares almost nothing with engine.py: it reuses
-only the instruction set, the single-step interpreter and the machine
+only the instruction set, the handlers, the branch table and the machine
 copy, and takes its default window, stride and retire reasons from the
 engine's constants, and the checks on its bounds from SpecConfig, so that
-both sides default, validate and report alike.  Instead of checkpoints
+both sides default, validate and report alike.  It dispatches on its own
+opcodes, not on the engine's instruction kinds.  Instead of checkpoints
 and rollback it enumerates forced-outcome scripts.  One architectural
 pass runs the program; at each branch occurrence it runs that root's
 scripts, each on its own ``Machine.fork`` of the pass's machine, then
@@ -81,18 +82,27 @@ class OracleOutcome:
     scripts: list[ScriptOutcome]
 
 
-def _run_script(m: Machine, root: str, occurrence: int, forced: tuple[int, ...],
-                window: int, stride: int) -> tuple[ScriptOutcome, list[ViolationRecord]]:
+def _invert(br: list, m: Machine, pc: int) -> int:
+    """Move m down the outcome the BR at pc does not take; returns the block."""
+    cond, t_pc, t_blk, f_pc, f_blk = br[pc]
+    m.pc, block = (f_pc, f_blk) if cond(m.fa, m.fb) else (t_pc, t_blk)
+    return block
+
+
+def _run_script(image: ExecImage, m: Machine, root: str, occurrence: int,
+                forced: tuple[int, ...], window: int,
+                stride: int) -> tuple[ScriptOutcome, list[ViolationRecord]]:
     """Invert the outcome of the BR that m stands at, then follow the
-    speculative path applying the script.  m is used up."""
-    image = m.image
+    speculative path of image applying the script.  m is used up."""
     code = image.code
+    handlers = image.handlers
+    br = image.br
     iid_str = image.iid_str
     block_of = image.block_of
     ctx = SpecContext()
     ctx.branches.append(root)
     forced_set = set(forced)
-    target = m.force_branch(m.pc, invert=True)
+    target = _invert(br, m, m.pc)
     blocks: list[int] = [target]
     counter = 0
     remaining = image.block_lens[target]
@@ -122,12 +132,12 @@ def _run_script(m: Machine, root: str, occurrence: int, forced: tuple[int, ...],
             encounter += 1
             if encounter in forced_set:
                 ctx.branches.append(iid_str[pc])
-                target = m.force_branch(pc, invert=True)
+                target = _invert(br, m, pc)
                 blocks.append(target)
                 remaining = image.block_lens[target]
                 budget = 0
                 continue
-        out = m.step(ctx)
+        out = handlers[pc](m, ctx)
         if out:
             retire = RETIRE_HALT if out == OUT_HALT else RETIRE_FAULT
             break
@@ -160,6 +170,8 @@ def enumerate_paths(program: Program | ExecImage, input_bytes: bytes = b"",
     # charges its window, so a speculative loop would never retire.
     SpecConfig(window=window, stride=stride, max_order=max_order,
                max_steps=max_steps)
+    if script_limit < 1:
+        raise ValueError("script_limit must be at least 1")
     if identity not in IDENTITY_MODES:
         raise ValueError(f"unknown identity mode {identity!r}")
     image = program if isinstance(program, ExecImage) else ExecImage(program)
@@ -168,6 +180,7 @@ def enumerate_paths(program: Program | ExecImage, input_bytes: bytes = b"",
     scripts: list[ScriptOutcome] = []
     seen: dict[str, int] = {}
     code = image.code
+    handlers = image.handlers
     m = Machine(image, input_bytes)
     steps = 0
     while steps < max_steps:
@@ -181,8 +194,8 @@ def enumerate_paths(program: Program | ExecImage, input_bytes: bytes = b"",
                 forced = frontier.pop()
                 if len(scripts) >= script_limit:
                     raise OracleError("enumeration-too-large")
-                outcome, recs = _run_script(m.fork(input_bytes), root, occurrence,
-                                            forced, window, stride)
+                outcome, recs = _run_script(image, m.fork(input_bytes), root,
+                                            occurrence, forced, window, stride)
                 scripts.append(outcome)
                 for r in recs:
                     k = (r.offending, r.branches, r.kind, r.identity(identity))
@@ -193,7 +206,7 @@ def enumerate_paths(program: Program | ExecImage, input_bytes: bytes = b"",
                     start = forced[-1] + 1 if forced else 1
                     for k in range(start, outcome.encounters + 1):
                         frontier.append(forced + (k,))
-        if m.step(None):
+        if handlers[pc](m, None):
             break
         steps += 1
     return OracleOutcome(records, keys, scripts)

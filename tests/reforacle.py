@@ -5,14 +5,15 @@ way.  A first architectural run lists every (branch, occurrence) root in
 order.  Each script then builds a fresh ``Machine``, replays the
 architectural prefix up to its root occurrence, and follows the
 speculative path from there.  It never copies a machine, so it shares no
-state between scripts; what it shares with the oracle is the handlers,
-which tests/test_stepper.py checks against refstep, and ``force_branch``.
+state between scripts, and it inverts a branch through refspec's
+``force_branch``, not the branch table; what it shares with the oracle is
+the handlers, which tests/test_stepper.py checks against refstep.
 
 tests/test_oracle.py compares ``records``, ``keys`` and every
 ``ScriptOutcome`` field of the two.
 """
 
-from refspec import ENTERS_BLOCK, block_at
+from refspec import ENTERS_BLOCK, block_at, force_branch
 from specvm.detect import SpecContext
 from specvm.engine import (
     DEFAULT_STRIDE,
@@ -41,6 +42,7 @@ def _arch_roots(image, input_bytes, max_steps):
     roots = []
     seen = {}
     code = image.code
+    handlers = image.handlers
     steps = 0
     while steps < max_steps:
         pc = m.pc
@@ -49,7 +51,7 @@ def _arch_roots(image, input_bytes, max_steps):
             occ = seen.get(iid, 0) + 1
             seen[iid] = occ
             roots.append((iid, occ))
-        if m.step(None):
+        if handlers[pc](m, None):
             break
         steps += 1
     return roots
@@ -61,6 +63,7 @@ def _run_script(image, input_bytes, root, occurrence, forced, window, stride,
     occurrence, then follow the speculative path applying the script."""
     m = Machine(image, input_bytes)
     code = image.code
+    handlers = image.handlers
     iid_str = image.iid_str
     starts = block_at(image)
 
@@ -75,7 +78,7 @@ def _run_script(image, input_bytes, root, occurrence, forced, window, stride,
             occ += 1
             if occ == occurrence:
                 break
-        if m.step(None):
+        if handlers[pc](m, None):
             raise OracleError(f"root {root}@{occurrence} not reached")
         steps += 1
 
@@ -83,7 +86,7 @@ def _run_script(image, input_bytes, root, occurrence, forced, window, stride,
     ctx = SpecContext()
     ctx.branches.append(root)
     forced_set = set(forced)
-    target = m.force_branch(m.pc, invert=True)
+    target = force_branch(image, m, m.pc, invert=True)
     blocks = [target]
     counter = 0
     remaining = image.block_lens[target]
@@ -113,12 +116,12 @@ def _run_script(image, input_bytes, root, occurrence, forced, window, stride,
             encounter += 1
             if encounter in forced_set:
                 ctx.branches.append(iid_str[pc])
-                target = m.force_branch(pc, invert=True)
+                target = force_branch(image, m, pc, invert=True)
                 blocks.append(target)
                 remaining = image.block_lens[target]
                 budget = 0
                 continue
-        out = m.step(ctx)
+        out = handlers[pc](m, ctx)
         if out == OUT_HALT:
             retire = RETIRE_HALT
             break

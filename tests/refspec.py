@@ -42,14 +42,15 @@ def alloc_restore(alloc, snap: tuple[int, int]) -> None:
     del alloc.bases[n:]
 
 
-def force_branch(m, flat: int, invert: bool) -> int:
-    """Move pc to the BR's outcome (or its inverse); returns target block."""
-    _, cc, tb, fb, _ = m.image.code[flat]
+def force_branch(image, m, flat: int, invert: bool) -> int:
+    """Move m's pc to the outcome (or its inverse) of image's BR at flat;
+    returns target block."""
+    _, cc, tb, fb, _ = image.code[flat]
     holds = _cc_eval(cc, m.fa, m.fb)
     if invert:
         holds = not holds
     bi = tb if holds else fb
-    m.pc = m.image.blocks[bi][0]
+    m.pc = image.blocks[bi][0]
     return bi
 
 
@@ -106,7 +107,7 @@ class ReferenceEngine(ExposureEngine):
         window = self.cfg.window
         stride = self.cfg.stride
         self.push_checkpoint(image.iid_str[pc])
-        remaining = block_lens[force_branch(m, pc, invert=True)]
+        remaining = block_lens[force_branch(image, m, pc, invert=True)]
         budget = 0
         steps = 0
         while True:

@@ -163,8 +163,14 @@ def test_fuzz_writes_artifacts(g01, tmp_path, capsys):
     assert "violations=" in capsys.readouterr().out
 
 
-def test_fuzz_strict_exit(g01, tmp_path):
+def test_fuzz_strict_exit(g01, tmp_path, capsys):
     assert main(["fuzz", g01, "--runs", "120", "--seed", "3", "--strict"]) == 3
+    clean = tmp_path / "clean.sasm"
+    clean.write_text("fn main:\ne:\n  input r1, 0\n  cmp r1, 4\n  br lt, a, b\n"
+                     "a:\n  halt\nb:\n  halt\n")
+    capsys.readouterr()
+    assert main(["fuzz", str(clean), "--runs", "50", "--seed", "3", "--strict"]) == 0
+    assert "violations=0 " in capsys.readouterr().out
 
 
 def test_seed_precedence_cli_over_config_over_env(g01, tmp_path, monkeypatch):
@@ -396,7 +402,10 @@ def test_analyze_malformed_trace_line_exits_1(tmp_path, capsys, line, diagnostic
     ("order", 2, "order 2 with 1 branches"),
     ("kind", "bogus", "unknown kind 'bogus'"),
     ("run", -1, "run -1 is negative"),
-], ids=["addr-negative", "addr-wide", "order-negative", "order-wrong", "kind", "run"])
+    ("offset", 999, "offset 999 is not addr - referent base, 64"),
+    ("referent", None, "offset 64 without a referent"),
+], ids=["addr-negative", "addr-wide", "order-negative", "order-wrong", "kind", "run",
+        "offset-wrong", "offset-without-referent"])
 def test_analyze_rejects_values_no_run_records(tmp_path, capsys, field, value, diagnostic):
     trace = tmp_path / "trace.jsonl"
     trace.write_text('#%svm {"file": "trace"}\n' + json.dumps({**RECORD, field: value}) + "\n")
@@ -508,6 +517,13 @@ def test_oracle_limit_exits_1(tmp_path, capsys):
     assert main(["oracle", str(src), "--max-order", "3", "--window", "16",
                  "--limit", "4"]) == 1
     assert "enumeration-too-large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_oracle_rejects_a_limit_below_1(limit, g01, capsys):
+    assert main(["oracle", g01, "--input", "09", "--limit", limit]) == 1
+    assert capsys.readouterr().err == (
+        f"svm: error: bad --limit {limit}: script_limit must be at least 1\n")
 
 
 @pytest.mark.parametrize("flag, message", [

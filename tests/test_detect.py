@@ -59,6 +59,18 @@ def test_wire_round_trip_without_referent():
     assert ViolationRecord.from_wire(r.to_wire()) == r
 
 
+@pytest.mark.parametrize("referent, offset, message", [
+    ((0, 0x100000, 64), 999, "offset 999 is not addr - referent base, 64"),
+    ((0, 0x100000, 64), None, "offset None is not addr - referent base, 64"),
+    (None, 64, "offset 64 without a referent"),
+])
+def test_from_wire_rejects_an_offset_no_run_records(referent, offset, message):
+    # A run gives an offset exactly with a referent, and always addr - base.
+    d = record(addr=0x100040, referent=referent, offset=offset).to_wire()
+    with pytest.raises(ValueError, match=f"^bad record value: {message}$"):
+        ViolationRecord.from_wire(d)
+
+
 @given(st.integers(min_value=0, max_value=(1 << 63)),
        st.integers(min_value=-4096, max_value=4096))
 def test_wire_round_trip_arbitrary_numbers(addr, offset):

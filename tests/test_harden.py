@@ -15,7 +15,7 @@ from specvm.harden import (
     verify_hardening,
 )
 from specvm.isa import InstructionId, Op, parse_program
-from specvm.machine import ExecImage
+from specvm.machine import ExecImage, run_architectural
 
 
 @pytest.mark.parametrize("gid", gadget_ids())
@@ -114,6 +114,40 @@ def test_mask_is_initialized_once_at_program_entry():
     entry_fn = result.program.entry
     entry_block = result.program.functions[entry_fn][0]
     assert inits[0] == InstructionId(entry_fn, entry_block.label, 0)
+
+
+# walk's entry block is the head of a loop: one BR edge enters it, and so
+# does the call from main.
+ENTRY_LOOP = """\
+fn main:
+e:
+  alloc r1, 16
+  const r2, 7
+  store r2, r1, 0
+  const r3, 0
+  call walk
+  load r7, r1, 0
+  halt
+fn walk:
+top:
+  add r3, r3, 1
+  cmp r3, 3
+  br lt, top, out
+out:
+  ret
+"""
+
+
+@pytest.mark.parametrize("harden", [fence_pass, slh_pass])
+def test_an_edge_into_a_function_entry_goes_through_a_trampoline(harden):
+    """A payload put in place at walk's entry would also run on the call
+    into walk, where no branch was mispredicted: under SLH it would zero
+    the mask and send main's accesses to the scratch page."""
+    program = parse_program(ENTRY_LOOP)
+    result = harden(program)
+    assert (result.summary["edges_in_place"], result.summary["trampolines"]) == (1, 1)
+    assert verify_hardening(program, result, [b""])["preserved"]
+    assert run_architectural(result.program).regs[7] == 7
 
 
 def test_trampolines_get_fresh_labels():

@@ -171,9 +171,10 @@ def test_redzone_zeroed_read_masks_only_redzone_bytes():
 
 
 # Linear references for the bisecting classifier: every allocation is
-# examined, so they need no assumption about allocation order.
+# examined, so they need no assumption about allocation order.  The static
+# data bound comes from the program, not from the machine.
 
-def _linear_classify(m, addr, width):
+def _linear_classify(m, program, addr, width):
     end = addr + width
     recs = m.alloc.recs
     if addr >= HEAP_BASE:
@@ -184,7 +185,7 @@ def _linear_classify(m, addr, width):
         if end <= STACK_HI:
             return A_VALID, None, None
     elif addr >= STATIC_BASE:
-        if end <= STATIC_BASE + len(m.image.program.data):
+        if end <= STATIC_BASE + len(program.data):
             return A_VALID, None, None
     elif addr >= SCRATCH_BASE and end <= SCRATCH_BASE + SCRATCH_SIZE:
         return A_SCRATCH, None, None
@@ -230,7 +231,8 @@ _sizes = st.lists(st.integers(min_value=0, max_value=80), max_size=10)
 )
 @settings(max_examples=150, deadline=None)
 def test_bisect_classification_matches_linear_scan(kept, dropped, after, width):
-    m = machine_for("fn main:\ne:\n  halt\n")
+    program = parse_program('data "static data, 26 bytes long"\nfn main:\ne:\n  halt\n')
+    m = Machine(ExecImage(program), b"")
     for size in kept:
         m.alloc.alloc(size)
     snap = alloc_snapshot(m.alloc)
@@ -243,7 +245,9 @@ def test_bisect_classification_matches_linear_scan(kept, dropped, after, width):
     lo = HEAP_BASE - 128
     m.write_bytes(lo, bytes((i * 37 + 1) & 0xFF or 1 for i in range(m.alloc.bump + 128 - lo)))
 
-    edges = {HEAP_BASE - width - 1, HEAP_BASE - 8, HEAP_BASE - 1,
+    static_end = STATIC_BASE + len(program.data)
+    edges = {static_end - width - 1, static_end - width, static_end - width + 1,
+             HEAP_BASE - width - 1, HEAP_BASE - 8, HEAP_BASE - 1,
              m.alloc.bump, m.alloc.bump + REDZONE, m.alloc.bump + REFERENT_WINDOW + width}
     for base, size in m.alloc.recs:
         for edge in (base, base + size):
@@ -255,7 +259,7 @@ def test_bisect_classification_matches_linear_scan(kept, dropped, after, width):
                           -REFERENT_WINDOW - width, -REFERENT_WINDOW - width + 1):
                 edges.add(edge + delta)
     for addr in sorted(edges):
-        want = _linear_classify(m, addr, width)
+        want = _linear_classify(m, program, addr, width)
         assert m._classify(addr, width) == want, (addr, width)
         assert m.check_access(addr, width) == AccessClass(*want)
         assert m._read8_redzone_zeroed(addr) == _linear_read8_redzone_zeroed(m, addr), addr
@@ -408,7 +412,7 @@ def _ret_with_word(image: ExecImage, word: int):
     m.sp = STACK_HI - 8
     m.raw_write8(m.sp, word, None)
     m.pc = len(image.code) - 1
-    return m, m.step()
+    return m, image.handlers[m.pc](m, None)
 
 
 def test_ret_encoding_round_trip():

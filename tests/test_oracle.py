@@ -125,6 +125,14 @@ def test_script_limit_guards_enumeration():
                         script_limit=4)
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_script_limit_must_be_positive(limit):
+    # Checked before any script runs, also on a program without branches.
+    for src in (CENSUS, "fn main:\ne:\n  halt\n"):
+        with pytest.raises(ValueError, match="script_limit must be at least 1"):
+            enumerate_paths(parse_program(src), b"", script_limit=limit)
+
+
 def test_max_order_must_be_positive():
     with pytest.raises(ValueError):
         enumerate_paths(parse_program(CENSUS), b"", max_order=0)
@@ -199,7 +207,7 @@ def test_recursive_programs_nest_calls_on_both_paths():
         m = Machine(image, data)
         lowest = m.sp
         for _ in range(10_000):
-            if m.step(None) != 0:
+            if image.handlers[m.pc](m, None) != 0:
                 break
             lowest = min(lowest, m.sp)
         nested += STACK_HI - lowest >= 3 * 8

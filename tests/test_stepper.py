@@ -1,15 +1,15 @@
 """Threaded handlers against the reference stepper, in lockstep.
 
-Two machines run the same program and input: one through Machine.step (the
-per-instruction handlers), one through refstep.reference_step.  After every
+Two machines run the same program and input: one through the image's
+per-instruction handlers, one through refstep.reference_step.  After every
 instruction the outcome, the Fault included, and the whole machine state
 must agree, and after a completed control transfer pc must be the start of
 the block the reference entered.
 Speculative runs hand each machine its own SpecContext and at random
-branches force both down the inverted outcome, as the exposure engine
-does, so the access and fault policy hooks and the write log are compared
-too: the log's length and last entry after every step, the whole log at
-the end.  The kind and branch tables that the exposure engine's loops
+branches force both down the inverted outcome, the fast machine through
+the branch table as the exposure engine and the oracle do, so the access
+and fault policy hooks and the write log are compared too: the log's
+length and last entry after every step, the whole log at the end.  The kind and branch tables that the exposure engine's loops
 dispatch on are checked against the decoded code and against what each
 step does.  Corner programs take the LOAD and STORE handlers' in-bounds
 heap fast path to each edge of an allocation, and one test drops an
@@ -104,13 +104,13 @@ def lockstep(image: ExecImage, data: bytes, speculative: bool, seed: int = 0,
         op, cc, taken, fall, _ = image.code[pc]
         if speculative and op == O_BR and rng.random() < 0.5:
             holds = _cc_eval(cc, ref.fa, ref.fb)
-            cond, _, tb, _, fb = image.br[pc]
+            cond, t_pc, tb, f_pc, fb = image.br[pc]
             assert (cond(fast.fa, fast.fb), tb, fb) == (holds, taken, fall), pc
             target = fall if holds else taken
             iid = image.iid_str[pc]
             fast_ctx.branches.append(iid)
             ref_ctx.branches.append(iid)
-            assert fast.force_branch(pc, invert=True) == target
+            fast.pc = f_pc if cond(fast.fa, fast.fb) else t_pc
             ref.pc = image.blocks[target][0]
             assert _state(fast, fast_ctx) == _state(ref, ref_ctx), (step, pc)
             assert image.block_of[fast.pc] == target, (step, pc)
@@ -129,8 +129,8 @@ def step_alike(image: ExecImage, fast: Machine, ref: Machine,
     """Step fast through its handler and ref through the reference stepper,
     compare them and return the outcome."""
     pc = ref.pc
-    out = fast.step(fast_ctx)
-    want, entered = reference_step(ref, ref_ctx)
+    out = image.handlers[pc](fast, fast_ctx)
+    want, entered = reference_step(image, ref, ref_ctx)
     assert out == want, (step, pc)
     assert _state(fast, fast_ctx) == _state(ref, ref_ctx), (step, pc)
     assert (entered >= 0) == (image.kinds[pc] >= K_BR and out == OUT_OK), \
