@@ -5,7 +5,10 @@ control transfer ("code-ptr") that happens while the machine is executing
 down a mispredicted path.  Records carry enough context to aggregate,
 deduplicate, and replay: the offending instruction, the address, the
 nearest live allocation (the referent), and the stack of mispredicted
-branches that were active when the access fired.
+branches that were active when the access fired.  A record is a named
+tuple, so building, hashing and comparing one is tuple work, and its trace
+line comes from one encoder, ``ViolationRecord.to_line``, that writes
+exactly what ``json.dumps`` of ``to_wire`` with sorted keys would.
 
 Speculative policy, applied by the SpecContext that the handlers are given
 during speculation:
@@ -25,7 +28,8 @@ heap exhausted   fault silently
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 from .isa import WORD_MASK
 from .machine import A_REDZONE, F_JTAB, F_RET
@@ -36,10 +40,22 @@ KIND_CODE = "code-ptr"
 DEFAULT_IDENTITY = "offset"
 IDENTITY_MODES = (DEFAULT_IDENTITY, "raw")
 
+# The details a run gives each kind (see the policy table above).
+_DETAILS = {KIND_DATA: ("redzone", "unmapped"), KIND_CODE: (F_RET, F_JTAB)}
 
-@dataclass(frozen=True)
-class ViolationRecord:
-    """One observed speculative violation."""
+# to_line's template: to_wire's keys in sorted order, as json.dumps writes them.
+_LINE = ('{"addr":"0x%x","branches":[%s],"detail":%s,"input":%s,"kind":%s,'
+         '"offending":%s,"offset":%s,"order":%d,"referent":%s,"run":%d}')
+
+
+class ViolationRecord(NamedTuple):
+    """One observed speculative violation.
+
+    A record is a plain tuple of its fields: immutable, hashable, built
+    positionally, and copied with a changed field by ``_replace``.  Its
+    trace line comes from one encoder, ``to_line``.  ``to_wire`` gives the
+    same fields as a dict (``svm run --json``), and ``from_wire`` rebuilds
+    a record from that dict, or from a trace line's ``json.loads``."""
 
     kind: str
     offending: str  # "fn:block:idx" of the faulting instruction
@@ -79,70 +95,95 @@ class ViolationRecord:
             "detail": self.detail,
         }
 
+    def to_line(self) -> str:
+        """The record's trace line: byte for byte ``json.dumps(to_wire(),
+        sort_keys=True, separators=(",", ":"))``, formatted directly.
+        Strings are escaped by json's own ASCII encoder."""
+        kind, offending, addr, ref, offset, branches, order, input_id, run, detail = self
+        return _LINE % (
+            addr, ",".join(map(_json_str, branches)), _json_str(detail),
+            "null" if input_id is None else _json_str(input_id),
+            _json_str(kind), _json_str(offending),
+            "null" if offset is None else offset, order,
+            "null" if ref is None
+            else '{"base":%d,"ord":%d,"size":%d}' % (ref[1], ref[0], ref[2]),
+            run)
+
     @staticmethod
     def from_wire(d: dict) -> "ViolationRecord":
         """Rebuild a record from to_wire() output.  Raises ValueError when a
         required field is missing or malformed, a field has the wrong type,
         or a value is one no run records: an address outside 0..2**64-1,
         an order other than the number of branches, an unknown kind, a
-        negative run, or an offset other than addr - referent base (a
-        record without a referent has no offset)."""
+        negative run, a referent with a negative ordinal or a size below 1,
+        a code-ptr record with a referent, an offset other than addr -
+        referent base (a record without a referent has no offset), or a
+        detail other than redzone/unmapped (data-oob) or bad-ret/
+        bad-jtab-index (code-ptr)."""
         if not isinstance(d, dict):
             raise ValueError(f"record is not a JSON object: {d!r}")
         try:
             ref = d.get("referent")
             referent = (ref["ord"], ref["base"], ref["size"]) if ref else None
             branches = d.get("branches", [])
-            rec = ViolationRecord(
-                kind=d["kind"],
-                offending=d["offending"],
-                addr=int(d["addr"], 16),
-                referent=referent,
-                offset=d.get("offset"),
-                branches=tuple(branches),
-                order=d.get("order", len(branches)),
-                input_id=d.get("input"),
-                run=d.get("run", 0),
-                detail=d.get("detail", ""),
-            )
+            kind = d["kind"]
+            offending = d["offending"]
+            addr = int(d["addr"], 16)
+            chain = tuple(branches)
+            order = d.get("order", len(branches))
         except KeyError as e:
             raise ValueError(f"record lacks field {e}") from None
         except (TypeError, ValueError) as e:
             raise ValueError(f"malformed record field: {e}") from None
+        offset = d.get("offset")
+        input_id = d.get("input")
+        run = d.get("run", 0)
+        detail = d.get("detail", "")
         # Plain type tests: every record of a trace passes through here.
-        if type(rec.kind) is not str:
+        if type(kind) is not str:
             bad = "kind"
-        elif type(rec.offending) is not str:
+        elif type(offending) is not str:
             bad = "offending"
         elif referent is not None and not all(type(v) is int for v in referent):
             bad = "referent"
-        elif rec.offset is not None and type(rec.offset) is not int:
+        elif offset is not None and type(offset) is not int:
             bad = "offset"
         elif type(branches) is not list or not all(type(b) is str for b in branches):
             bad = "branches"
-        elif type(rec.order) is not int:
+        elif type(order) is not int:
             bad = "order"
-        elif rec.input_id is not None and type(rec.input_id) is not str:
+        elif input_id is not None and type(input_id) is not str:
             bad = "input"
-        elif type(rec.run) is not int:
+        elif type(run) is not int:
             bad = "run"
-        elif type(rec.detail) is not str:
+        elif type(detail) is not str:
             bad = "detail"
-        elif not 0 <= rec.addr <= WORD_MASK:
+        elif not 0 <= addr <= WORD_MASK:
             raise ValueError(f"bad record value: addr {d['addr']} is outside 0..2**64-1")
-        elif rec.order != len(branches):
-            raise ValueError(f"bad record value: order {rec.order} with "
+        elif order != len(branches):
+            raise ValueError(f"bad record value: order {order} with "
                              f"{len(branches)} branches")
-        elif rec.kind != KIND_DATA and rec.kind != KIND_CODE:
-            raise ValueError(f"bad record value: unknown kind {rec.kind!r}")
-        elif rec.run < 0:
-            raise ValueError(f"bad record value: run {rec.run} is negative")
-        elif rec.offset != (None if referent is None else rec.addr - referent[1]):
-            raise ValueError(f"bad record value: offset {rec.offset} " + (
+        elif kind not in _DETAILS:
+            raise ValueError(f"bad record value: unknown kind {kind!r}")
+        elif run < 0:
+            raise ValueError(f"bad record value: run {run} is negative")
+        elif referent is not None and referent[0] < 0:
+            raise ValueError(f"bad record value: referent ordinal {referent[0]} "
+                             "is negative")
+        elif referent is not None and referent[2] < 1:
+            raise ValueError(f"bad record value: referent size {referent[2]} is below 1")
+        elif referent is not None and kind == KIND_CODE:
+            raise ValueError("bad record value: a code-ptr record with a referent")
+        elif offset != (None if referent is None else addr - referent[1]):
+            raise ValueError(f"bad record value: offset {offset} " + (
                 "without a referent" if referent is None
-                else f"is not addr - referent base, {rec.addr - referent[1]}"))
+                else f"is not addr - referent base, {addr - referent[1]}"))
+        elif detail not in _DETAILS[kind]:
+            raise ValueError(f"bad record value: detail {detail!r} for {kind}, "
+                             f"not {' or '.join(_DETAILS[kind])}")
         else:
-            return rec
+            return ViolationRecord(kind, offending, addr, referent, offset, chain,
+                                   order, input_id, run, detail)
         raise ValueError(f"malformed record field: {bad} has the wrong type")
 
 
@@ -175,36 +216,19 @@ class SpecContext:
         False when the path must be abandoned (unmapped).
         """
         self.records.append(ViolationRecord(
-            kind=KIND_DATA,
-            offending=offending,
-            addr=addr,
-            referent=referent,
-            offset=offset,
-            branches=tuple(self.branches),
-            order=len(self.branches),
-            input_id=self.input_id,
-            run=self.run_serial,
-            detail="redzone" if kind == A_REDZONE else "unmapped",
-        ))
+            KIND_DATA, offending, addr, referent, offset, tuple(self.branches),
+            len(self.branches), self.input_id, self.run_serial,
+            "redzone" if kind == A_REDZONE else "unmapped"))
         return kind == A_REDZONE
 
     def on_speculative_fault(self, offending: str, fkind: str, value: int) -> None:
         """Handle a non-access fault on a speculative path.  Corrupted control
         transfers become code-ptr records; resource faults stay silent."""
-        if fkind not in (F_RET, F_JTAB):
+        if fkind not in _DETAILS[KIND_CODE]:
             return
         self.records.append(ViolationRecord(
-            kind=KIND_CODE,
-            offending=offending,
-            addr=value,
-            referent=None,
-            offset=None,
-            branches=tuple(self.branches),
-            order=len(self.branches),
-            input_id=self.input_id,
-            run=self.run_serial,
-            detail=fkind,
-        ))
+            KIND_CODE, offending, value, None, None, tuple(self.branches),
+            len(self.branches), self.input_id, self.run_serial, fkind))
 
 
 __all__ = [

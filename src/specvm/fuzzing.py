@@ -23,7 +23,8 @@ Artifact layout under the output directory::
 
     corpus/<id>_<reason>.bin   kept inputs (reason: seed, vuln, or edge)
     crashes/<id>.bin           inputs whose architectural run faulted
-    trace.jsonl                violation records, per-run deduplicated
+    trace.jsonl                violation records, per-run deduplicated, one
+                               line each from ViolationRecord.to_line
     branch_stats.json          distinct-input count per branch
     session.json               seed, counters, wall time
 
@@ -34,7 +35,6 @@ session files and leaves input files that already hold their bytes.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import time
 from collections import Counter
@@ -239,7 +239,7 @@ def _merge(shards: list[FuzzResult]) -> FuzzResult:
             corpus.setdefault(entry[0], entry)
         for entry in r.crashes:
             crashes.setdefault(entry[0], entry)
-        records += ([replace(rec, run=rec.run + runs) for rec in r.records]
+        records += ([rec._replace(run=rec.run + runs) for rec in r.records]
                     if runs else r.records)
         counts.update(r.stats.to_dict())
         runs += r.runs
@@ -277,9 +277,7 @@ def write_artifacts(result: FuzzResult, out_dir: str | Path,
         _write_input(out / "crashes" / f"{iid}.bin", data)
     meta = {"file": "trace", "identity": config.identity,
             "seed": config.seed, "workers": config.workers}
-    write_lines(out / "trace.jsonl", meta,
-                [json.dumps(r.to_wire(), sort_keys=True, separators=(",", ":"))
-                 for r in result.records])
+    write_lines(out / "trace.jsonl", meta, [r.to_line() for r in result.records])
     write_json(out / "branch_stats.json", {"file": "branch-stats"},
                {"counts": result.stats.to_dict()})
     write_json(out / "session.json", {"file": "session"}, {

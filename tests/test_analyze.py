@@ -23,7 +23,8 @@ def rec(offending="main:a:2", kind=KIND_DATA, offset=-8, input_id="i0",
         kind=kind, offending=offending, addr=0x100000 + offset,
         referent=None if kind == KIND_CODE else (ordn, 0x100000, 64),
         offset=None if kind == KIND_CODE else offset,
-        branches=branches, order=order, input_id=input_id)
+        branches=branches, order=order, input_id=input_id,
+        detail="bad-ret" if kind == KIND_CODE else "redzone")
 
 
 def many(n, prefix="inp", **kw):

@@ -374,7 +374,7 @@ def test_analyze_unreadable_trace_writes_no_whitelist(tmp_path, capsys):
 RECORD = {"kind": "data-oob", "offending": "main:e:3", "addr": "0x100040",
           "referent": {"ord": 0, "base": 0x100000, "size": 64}, "offset": 64,
           "branches": ["main:e:1"], "order": 1, "input": "ab12", "run": 3,
-          "detail": ""}
+          "detail": "redzone"}
 MISTYPED = [("offset", [1]), ("branches", [["x"]]), ("input", [1]),
             ("offset", "abc"), ("kind", 5), ("order", "one"),
             ("branches", "main:e:1"), ("run", None), ("detail", 0),
@@ -404,8 +404,13 @@ def test_analyze_malformed_trace_line_exits_1(tmp_path, capsys, line, diagnostic
     ("run", -1, "run -1 is negative"),
     ("offset", 999, "offset 999 is not addr - referent base, 64"),
     ("referent", None, "offset 64 without a referent"),
+    ("referent", {"ord": -1, "base": 0x100000, "size": 64}, "referent ordinal -1 is negative"),
+    ("referent", {"ord": 0, "base": 0x100000, "size": 0}, "referent size 0 is below 1"),
+    ("kind", "code-ptr", "a code-ptr record with a referent"),
+    ("detail", "bad-ret", "detail 'bad-ret' for data-oob, not redzone or unmapped"),
 ], ids=["addr-negative", "addr-wide", "order-negative", "order-wrong", "kind", "run",
-        "offset-wrong", "offset-without-referent"])
+        "offset-wrong", "offset-without-referent", "referent-ordinal", "referent-size",
+        "code-ptr-referent", "detail"])
 def test_analyze_rejects_values_no_run_records(tmp_path, capsys, field, value, diagnostic):
     trace = tmp_path / "trace.jsonl"
     trace.write_text('#%svm {"file": "trace"}\n' + json.dumps({**RECORD, field: value}) + "\n")

@@ -1,5 +1,7 @@
 """Violation records, identities, and the speculative fault policy."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,8 @@ from specvm.detect import (
     ViolationRecord,
     dedup_key,
 )
+from specvm.fuzzing import FuzzConfig, fuzz_loop
+from specvm.gadgets import builtin_gadget, gadget_ids
 from specvm.machine import (
     A_REDZONE,
     A_UNMAPPED,
@@ -23,7 +27,7 @@ from specvm.machine import (
 def record(**kw):
     base = dict(kind=KIND_DATA, offending="main:e:0", addr=0x100050,
                 referent=(1, 0x100050 + 8, 64), offset=-8,
-                branches=("main:e:2",), order=1)
+                branches=("main:e:2",), order=1, detail="redzone")
     base.update(kw)
     return ViolationRecord(**base)
 
@@ -71,11 +75,100 @@ def test_from_wire_rejects_an_offset_no_run_records(referent, offset, message):
         ViolationRecord.from_wire(d)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(referent=(-1, 0x100000, 64)), "referent ordinal -1 is negative"),
+    (dict(referent=(0, 0x100000, 0)), "referent size 0 is below 1"),
+    (dict(kind=KIND_CODE, detail=F_RET), "a code-ptr record with a referent"),
+    (dict(detail=F_RET), "detail 'bad-ret' for data-oob, not redzone or unmapped"),
+    (dict(kind=KIND_CODE, referent=None, offset=None, detail="redzone"),
+     "detail 'redzone' for code-ptr, not bad-ret or bad-jtab-index"),
+], ids=["referent-ordinal", "referent-size", "code-ptr-referent", "data-oob-detail",
+        "code-ptr-detail"])
+def test_from_wire_rejects_a_record_no_run_produces(fields, message):
+    # Ordinals count allocations from 0, sizes are at least 1, a code-ptr
+    # record names no allocation, and each kind has its own details.
+    d = record(**{"addr": 0x100040, "referent": (0, 0x100000, 64), "offset": 64,
+                  **fields}).to_wire()
+    with pytest.raises(ValueError, match=f"^bad record value: {message}$"):
+        ViolationRecord.from_wire(d)
+
+
 @given(st.integers(min_value=0, max_value=(1 << 63)),
        st.integers(min_value=-4096, max_value=4096))
 def test_wire_round_trip_arbitrary_numbers(addr, offset):
     r = record(addr=addr, referent=(0, addr - offset, 8), offset=offset)
     assert ViolationRecord.from_wire(r.to_wire()) == r
+
+
+# -- record semantics and the trace line codec ----------------------------------
+
+def test_records_are_immutable_hashable_values():
+    r = record(input_id="c0ffee", run=3)
+    with pytest.raises(AttributeError):
+        r.run = 4
+    twin = record(input_id="c0ffee", run=3)
+    assert twin == r and hash(twin) == hash(r) and len({r, twin}) == 1
+    moved = r._replace(run=9)
+    assert moved.run == 9 and r.run == 3 and moved != r
+    assert moved._replace(run=3) == r
+
+
+def assert_codec(r: ViolationRecord) -> None:
+    """to_line is json.dumps of to_wire, and reads back as the record when
+    from_wire accepts it."""
+    line = r.to_line()
+    assert line == json.dumps(r.to_wire(), sort_keys=True, separators=(",", ":"))
+    assert json.loads(line) == r.to_wire()
+    try:
+        back = ViolationRecord.from_wire(json.loads(line))
+    except ValueError as e:
+        assert str(e).startswith("bad record value: "), e
+    else:
+        assert back == r
+
+
+def test_trace_lines_of_fuzz_sessions_are_json_dumps():
+    records = []
+    for gid in gadget_ids():
+        records += fuzz_loop(builtin_gadget(gid).program,
+                             FuzzConfig(runs=200, seed=gid)).records
+    kinds = {r.kind for r in records}
+    assert kinds == {KIND_DATA, KIND_CODE} and len(records) > 500
+    for r in records:
+        assert_codec(r)
+        assert ViolationRecord.from_wire(json.loads(r.to_line())) == r
+
+
+# A quote, a backslash, control characters and non-ASCII text, including a
+# character outside the BMP (escaped as a surrogate pair) and a lone surrogate.
+ODD = ['"', "\\", "\x00\x1f\n\t\x7f", "\u00e9\u2028\U0001f600\ud800", 'a"b\\c\x01\u00ffd']
+
+
+@pytest.mark.parametrize("odd", ODD)
+@pytest.mark.parametrize("field", ["kind", "offending", "branches", "input_id", "detail"])
+def test_trace_line_escapes_every_string_field(field, odd):
+    value = (odd, "main:e:2" + odd) if field == "branches" else odd
+    fields = {field: value, "order": 2} if field == "branches" else {field: value}
+    assert_codec(record(**fields))
+    assert_codec(record(**{"kind": KIND_CODE, "referent": None, "offset": None,
+                           "detail": F_RET, **fields}))
+
+
+@pytest.mark.parametrize("fields", [
+    dict(input_id=None),
+    dict(input_id="c0ffee", run=12),
+    dict(offset=-8),
+    dict(addr=0, referent=(0, 0x40, 16), offset=-0x40),
+    dict(addr=(1 << 64) - 1, referent=None, offset=None, detail="unmapped"),
+    dict(kind=KIND_CODE, addr=0, referent=None, offset=None, detail=F_JTAB),
+    dict(kind=KIND_CODE, addr=(1 << 64) - 1, referent=None, offset=None,
+         detail=F_RET, branches=(), order=0),
+    dict(branches=("a:b:0", "c:d:1", "e:f:2"), order=3),
+])
+def test_trace_line_of_edge_values(fields):
+    r = record(**fields)
+    assert ViolationRecord.from_wire(r.to_wire()) == r
+    assert_codec(r)
 
 
 def test_dedup_key_ignores_branch_chain_and_input():

@@ -271,7 +271,7 @@ def test_sharded_session_is_the_merge_of_its_shards():
         counts.update(r.stats.to_dict())
     assert merged.stats.to_dict() == dict(counts)
     offsets = (0, shards[0].runs, shards[0].runs + shards[1].runs)
-    assert merged.records == [replace(rec, run=rec.run + offset)
+    assert merged.records == [rec._replace(run=rec.run + offset)
                               for r, offset in zip(shards, offsets)
                               for rec in r.records]
     assert all(r.records for r in shards)
